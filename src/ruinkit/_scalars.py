@@ -11,6 +11,10 @@ from fractions import Fraction
 
 RationalLike = int | str | Fraction
 
+#: scalar modes: exact rationals (Fraction) or doubles
+EXACT = "exact"
+FLOAT = "float"
+
 
 def as_fraction(value: RationalLike, what: str = "value") -> Fraction:
     """Coerce an int, Fraction, or "num/den" / decimal string to a Fraction.

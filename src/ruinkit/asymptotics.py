@@ -40,6 +40,10 @@ from .roots import RootProfile
 #: relative residual floor for "expansion has converged" checks
 DEFAULT_RESIDUAL_EPS = 1e-9
 
+#: residuals keep every magnitude below 2**_MAX_EXPONENT, a few bits inside
+#: the double range
+_MAX_EXPONENT = 1020
+
 
 @dataclass(frozen=True)
 class AsymptoticCoefficients:
@@ -104,12 +108,26 @@ def compute_coefficients(dist: ClaimDistribution, roots: RootProfile) -> Asympto
     )
 
 
-def predict_xn(coeffs: AsymptoticCoefficients, n: int) -> float:
-    """Expansion value of x_n without the vanishing remainder f_n."""
-    value = coeffs.a * (-coeffs.alpha) ** n + coeffs.c1 + coeffs.c2 * (n + 1)
+def predict_xn(coeffs: AsymptoticCoefficients, n: int, shift: int = 0) -> float:
+    """Expansion value of x_n without the vanishing remainder f_n, times
+    2**-shift (a positive shift keeps alpha^n-sized values in range)."""
+    value = (
+        coeffs.a * _scaled_pow(-coeffs.alpha, n, shift)
+        + math.ldexp(coeffs.c1, -shift)
+        + math.ldexp(coeffs.c2 * (n + 1), -shift)
+    )
     if coeffs.beta is not None and coeffs.b:
-        value += coeffs.b * coeffs.beta**n
+        value += coeffs.b * _scaled_pow(coeffs.beta, n, shift)
     return value
+
+
+def _scaled_pow(base: float, n: int, shift: int) -> float:
+    """base**n * 2**-shift, through logarithms when shift > 0, so that no
+    intermediate leaves the double range."""
+    if not shift:
+        return base**n
+    mag = math.exp(n * math.log(abs(base)) - shift * math.log(2.0))
+    return -mag if base < 0 and n % 2 else mag
 
 
 def predict_Dn(coeffs: AsymptoticCoefficients, n: int) -> float:
@@ -135,11 +153,19 @@ def determinant_ratio_limit(coeffs: AsymptoticCoefficients) -> float:
 
 
 def xn_residuals(table: SequenceTable, coeffs: AsymptoticCoefficients) -> list[float]:
-    """Relative residuals |x_n - prediction| / max(1, |x_n|) along the table."""
+    """Relative residuals |x_n - prediction| / max(1, |x_n|) along the table.
+
+    Where x_n or alpha^n, beta^n would come within a few bits of the double
+    range, all three terms of the ratio are scaled by the same power of two.
+    """
+    growth = math.log2(max(coeffs.alpha, coeffs.beta or 0.0, 1.0))
     out = []
     for n in range(table.n_max + 1):
-        xn = table.xf(n)
-        out.append(abs(xn - predict_xn(coeffs, n)) / max(1.0, abs(xn)))
+        top = max(table.x_exponent(n), math.ceil(n * growth))
+        shift = max(0, top - _MAX_EXPONENT)
+        xn = table.xf(n, shift)
+        pred = predict_xn(coeffs, n, shift)
+        out.append(abs(xn - pred) / max(math.ldexp(1.0, -shift), abs(xn)))
     return out
 
 

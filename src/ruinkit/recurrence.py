@@ -10,12 +10,27 @@ and by the 2x2 determinants D_n = x_n y_{n+1} - x_{n+1} y_n, which are also
 h_0 * (x_n x_{n+2} - x_{n+1}^2), a Hankel determinant of the second order.
 Both forms are computed and required to agree.
 
+In generating-function form X(s) = H/(H - s^2) and Y(s) = h_0 s/(H - s^2).
+Every built-in law has a rational p.g.f. H = P/R with integer polynomials:
+R = L and P = L*H for finite support (L the lcm of the denominators), and
+P = a, R = b - (b-a)s for geometric(a/b).  With Q = P - s^2 R,
+
+    Q X = P,    Q (R_0 Y) = P_0 s R,
+
+so exact mode runs one short recurrence of order deg Q on integer
+numerators N_n = q_0^(n+1) x_n and M_n = q_0^(n+1) R_0 y_n.  Both
+determinant formulas share the denominator R_0 q_0^(2n+3), so they are
+compared on integers too.  The cost is O(n * deg Q) big-integer
+multiply-adds, independent of the (possibly infinite) support, plus one gcd
+per returned entry when it becomes a reduced Fraction.
+
 D_n grows like alpha^n while being a difference of alpha^(2n)-sized products,
 so floating arithmetic loses roughly one digit per unit of n*log10(alpha):
 verdicts about sign and monotonicity of D_n are only trustworthy in exact
 rational mode, which is the default whenever the pmf prefix is rational
-(always, for the built-in laws).  Float mode exists for cheap large-n probes
-and stores values scaled by a power of two to delay overflow.
+(always, for the built-in laws).  Float mode exists for cheap large-n probes,
+runs the pmf recurrence above and stores values scaled by a power of two to
+delay overflow.
 
 Aside: the bracket x_n x_{n+2} - x_{n+1}^2 inside D_n is the numerator of
 Aitken's Delta^2 acceleration, and |D_{n+1}/D_n| estimates the reciprocal
@@ -29,10 +44,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._scalars import EXACT, FLOAT
 from .distributions import ClaimDistribution
-
-EXACT = "exact"
-FLOAT = "float"
 
 #: float-mode conjecture verdicts beyond this horizon are refused outright
 FLOAT_CONJECTURE_HORIZON = 200
@@ -67,10 +80,22 @@ class SequenceTable:
     def n_max(self) -> int:
         return len(self.x) - 1
 
-    def xf(self, n: int) -> float:
-        """x_n as a float, honoring the stored scale."""
+    def xf(self, n: int, shift: int = 0) -> float:
+        """x_n * 2**-shift as a float, honoring the stored scale."""
         v = self.x[n]
-        return math.ldexp(float(v), self.scale_log2) if self.scale_log2 else float(v)
+        if isinstance(v, Fraction):
+            # scale exactly, so that float() rounds once and overflows only
+            # when the scaled value does
+            return float(v / (1 << shift)) if shift else float(v)
+        exp = self.scale_log2 - shift
+        return math.ldexp(v, exp) if exp else float(v)
+
+    def x_exponent(self, n: int) -> int:
+        """An exponent e with |x_n| < 2**e, honoring the stored scale."""
+        v = self.x[n]
+        if isinstance(v, Fraction):
+            return v.numerator.bit_length() - v.denominator.bit_length() + 1
+        return math.frexp(v)[1] + self.scale_log2
 
     def df(self, n: int) -> float:
         """D_n as a float, honoring the stored scale."""
@@ -101,31 +126,64 @@ def build_table(
 
 
 def _build_exact(dist: ClaimDistribution, n_max: int) -> SequenceTable:
-    h = dist.pmf_prefix(n_max)
-    inv_h0 = 1 / h[0]
-    x: list[Fraction] = [Fraction(1), Fraction(0)]
-    y: list[Fraction] = [Fraction(0), Fraction(1)]
-    for n in range(2, n_max + 1):
-        sx = Fraction(0)
-        sy = Fraction(0)
-        for i in range(1, n):
-            hv = h[n - i]
-            if hv:
-                sx += hv * x[i]
-                sy += hv * y[i]
-        x.append(inv_h0 * (x[n - 2] - sx))
-        y.append(inv_h0 * (y[n - 2] - sy))
+    p, r = _rational_pgf(dist)
+    q = p + [0] * (len(r) + 2 - len(p))
+    for k, rk in enumerate(r):
+        q[k + 2] -= rk
+    q0 = q[0]
+    # N_n = q0^(n+1) x_n turns q0 x_n = p_n - sum_k q_k x_{n-k} into
+    # N_n = p_n q0^n - sum_k q_k q0^(k-1) N_{n-k}
+    steps = [(k, q[k] * q0 ** (k - 1)) for k in range(1, len(q)) if q[k]]
+    x = _numerators(p, steps, q0, n_max)
+    y = _numerators([0] + [p[0] * v for v in r], steps, q0, n_max)
     d: list[Fraction] = []
+    den = r[0] * q0**3
     for n in range(n_max):
         det = x[n] * y[n + 1] - x[n + 1] * y[n]
         if n + 2 <= n_max:
-            hankel = h[0] * (x[n] * x[n + 2] - x[n + 1] ** 2)
+            hankel = x[n] * x[n + 2] - x[n + 1] ** 2
             if hankel != det:
                 raise RuntimeError(
-                    f"determinant formulas disagree at n={n}: {det} vs {hankel}"
+                    f"determinant formulas disagree at n={n}: "
+                    f"{Fraction(det, den)} vs {Fraction(hankel, den)}"
                 )
-        d.append(det)
+        d.append(Fraction(det, den))
+        den *= q0 * q0
+    # replace numerators in place, so each is freed once its Fraction exists
+    den = q0
+    for n in range(n_max + 1):
+        x[n] = Fraction(x[n], den)
+        y[n] = Fraction(y[n], r[0] * den)
+        den *= q0
     return SequenceTable(dist=dist, mode=EXACT, x=x, y=y, d=d)
+
+
+def _rational_pgf(dist: ClaimDistribution) -> tuple[list[int], list[int]]:
+    """Integer coefficient lists (lowest degree first) of P and R, H = P/R."""
+    if dist.kind == "geometric":
+        a, b = dist.p.numerator, dist.p.denominator
+        return [a], [b, a - b]
+    h = dist.pmf_prefix(dist.support_bound)
+    lcm = math.lcm(*(v.denominator for v in h))
+    return [v.numerator * (lcm // v.denominator) for v in h], [lcm]
+
+
+def _numerators(rhs: list[int], steps: list[tuple[int, int]], q0: int, n_max: int) -> list[int]:
+    """N_0..N_{n_max} of N_n = rhs_n q0^n - sum_k c_k N_{n-k}, for the
+    (k, c_k) pairs of ``steps`` in increasing k."""
+    out: list[int] = []
+    scale = 1
+    for n in range(n_max + 1):
+        acc = 0
+        if n < len(rhs):
+            acc = rhs[n] * scale
+            scale *= q0
+        for k, c in steps:
+            if k > n:
+                break
+            acc -= c * out[n - k]
+        out.append(acc)
+    return out
 
 
 def _build_float(dist: ClaimDistribution, n_max: int, scaled: bool) -> SequenceTable:

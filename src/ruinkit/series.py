@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._scalars import EXACT, FLOAT
 from .distributions import ClaimDistribution
-
-EXACT = "exact"
-FLOAT = "float"
 
 
 class SeriesError(ValueError):

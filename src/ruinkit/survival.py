@@ -30,10 +30,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._scalars import EXACT, FLOAT
 from .distributions import ClaimDistribution
-from .recurrence import EXACT, SequenceTable, build_table
+from .recurrence import SequenceTable, build_table
 from .roots import DEFAULT_TOL, RootProfile, find_alpha, refine_alpha, root_profile
-from .series import FLOAT, PowerSeries, pgf_minus_s2_series, series_divide
+from .series import PowerSeries, pgf_minus_s2_series, series_divide
 
 SURVIVABLE = "survivable"
 CRITICAL = "critical"

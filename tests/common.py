@@ -53,3 +53,29 @@ def enumerate_survival(dist, u, horizon, claim_cap):
         return total
 
     return recurse(1, u, Fraction(1))
+
+
+def reference_table(dist, n_max):
+    """x_0..x_N, y_0..y_N and D_0..D_{N-1} by the pmf recurrence in Fraction
+    arithmetic, term by term (O(N^2) operations, each paying a gcd)."""
+    h = dist.pmf_prefix(n_max)
+    inv_h0 = 1 / h[0]
+    x = [Fraction(1), Fraction(0)]
+    y = [Fraction(0), Fraction(1)]
+    for n in range(2, n_max + 1):
+        sx = Fraction(0)
+        sy = Fraction(0)
+        for i in range(1, n):
+            hv = h[n - i]
+            if hv:
+                sx += hv * x[i]
+                sy += hv * y[i]
+        x.append(inv_h0 * (x[n - 2] - sx))
+        y.append(inv_h0 * (y[n - 2] - sy))
+    d = []
+    for n in range(n_max):
+        det = x[n] * y[n + 1] - x[n + 1] * y[n]
+        if n + 2 <= n_max:
+            assert det == h[0] * (x[n] * x[n + 2] - x[n + 1] ** 2), n
+        d.append(det)
+    return x, y, d

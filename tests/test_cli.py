@@ -92,6 +92,17 @@ def test_asympt_report(capsys):
     assert results["n0_is_empirical"] is True
 
 
+def test_asympt_past_double_range(capsys):
+    # alpha = 11, so alpha^300 and x_300 both exceed the largest double
+    code = cli.main(["asympt", "--dist", "pmf:1/12,5/6,1/12", "--n", "300"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in captured.err
+    report = json.loads(captured.out)
+    assert report["diagnostics"]["residual_converged"] is True
+    assert report["results"]["stabilized"] is True
+
+
 def test_solve_all_routes(capsys):
     code, out = run(
         capsys, ["solve", "--dist", "geometric(1/2)", "--u-max", "8", "--route", "all"]
