@@ -27,7 +27,6 @@ from .recurrence import (
     TableOverflowError,
     build_table,
     check_conjecture,
-    determinants,
 )
 from .roots import (
     MomentConditionError,
@@ -78,7 +77,6 @@ __all__ = [
     "compute_coefficients",
     "deflate_G",
     "determinant_ratio_limit",
-    "determinants",
     "find_alpha",
     "find_beta",
     "finite_horizon_dp",

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .distributions import ClaimDistribution
-from .recurrence import SequenceTable
+from .recurrence import SequenceTable, _margin_scan
 from .roots import RootProfile
 
 #: relative residual floor for "expansion has converged" checks
@@ -205,29 +205,15 @@ def verify_sign_monotonicity(
     table: SequenceTable, coeffs: AsymptoticCoefficients | None = None
 ) -> SignMonotonicityReport:
     """Scan D_n for the sign/monotonicity pattern and report stabilization."""
-    d = table.d
     strict = table.dist.is_primitive()
-    last = (len(d) - 1 - 3) // 2
+    last = (len(table.d) - 1 - 3) // 2
     if last < 0:
         raise ValueError("table horizon too short: need D_0..D_3 at least")
-    one = Fraction(1) if table.mode == "exact" else 1.0
-
-    def ok(n: int) -> bool:
-        if strict:
-            return (
-                d[2 * n] > one
-                and d[2 * n + 2] > d[2 * n]
-                and d[2 * n + 1] < -one
-                and d[2 * n + 3] < d[2 * n + 1]
-            )
-        return (
-            d[2 * n] >= one
-            and d[2 * n + 2] >= d[2 * n]
-            and d[2 * n + 1] <= -one
-            and d[2 * n + 3] <= d[2 * n + 1]
-        )
-
-    failures = tuple(n for n in range(last + 1) if not ok(n))
+    # pair n holds when the levels at 2n, 2n+1 and the steps from them do
+    level, step = _margin_scan(table.d)
+    slack = [min(level[2 * n], level[2 * n + 1], step[2 * n], step[2 * n + 1])
+             for n in range(last + 1)]
+    failures = tuple(n for n, m in enumerate(slack) if (m <= 0 if strict else m < 0))
     n0 = max(failures) if failures else 0
     tail_start = 3 * (last + 1) // 4
     stabilized = all(f < tail_start for f in failures)

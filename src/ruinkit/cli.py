@@ -290,7 +290,9 @@ def _verify_fixtures() -> list[ClaimDistribution]:
 
 
 def _verify_one(dist: ClaimDistribution, horizon: int) -> dict:
-    from .series import deflate_G, one_minus_s, pgf_minus_s2_series, pgf_series, series_divide
+    from .series import (
+        PowerSeries, deflate_G, one_minus_s, pgf_minus_s2_series, pgf_series, series_divide,
+    )
 
     checks: dict = {}
     conj = recurrence.check_conjecture(dist, horizon, mode="exact")
@@ -298,10 +300,10 @@ def _verify_one(dist: ClaimDistribution, horizon: int) -> dict:
 
     n_id = 60
     table = recurrence.build_table(dist, n_id + 2, mode="exact")
-    h0 = dist.hk(0)
-    checks["y_identity"] = all(
-        table.y[n] == h0 * table.x[n + 1] for n in range(n_id + 1)
-    )
+    den = pgf_minus_s2_series(dist, n_id)
+    # Y = h_0 s/(H - s^2), by series division rather than y_n = h_0 x_{n+1}
+    h0_s = PowerSeries.of([Fraction(0), dist.hk(0)] + [Fraction(0)] * (n_id - 1))
+    checks["y_identity"] = list(series_divide(h0_s, den, n_id).coeffs) == table.y[: n_id + 1]
     checks["parity_monotone"] = all(
         table.x[2 * n] >= 1 and table.x[2 * n + 2] >= table.x[2 * n]
         for n in range(n_id // 2)
@@ -309,13 +311,11 @@ def _verify_one(dist: ClaimDistribution, horizon: int) -> dict:
         table.x[2 * n + 1] <= 0 and table.x[2 * n + 3] <= table.x[2 * n + 1]
         for n in range(n_id // 2 - 1)
     )
-    xs = series_divide(pgf_series(dist, n_id), pgf_minus_s2_series(dist, n_id), n_id)
+    xs = series_divide(pgf_series(dist, n_id), den, n_id)
     checks["series_matches_recurrence"] = list(xs.coeffs) == table.x[: n_id + 1]
     g = deflate_G(dist, n_id)
     back = g.mul(one_minus_s(n_id))
-    checks["deflation_identity"] = (
-        back.coeffs == pgf_minus_s2_series(dist, n_id).coeffs[: n_id + 1]
-    )
+    checks["deflation_identity"] = back.coeffs == den.coeffs[: n_id + 1]
 
     if dist.is_primitive():
         profile = roots.root_profile(dist)
@@ -364,20 +364,7 @@ def _cmd_verify(args) -> int:
     status = EXIT_OK if not breaches else EXIT_CHECK_FAILED
     if breaches:
         sys.stderr.write("verification breaches: " + ", ".join(breaches) + "\n")
-    report = {
-        "command": "verify",
-        "dist": None,
-        "dist_sha256": None,
-        "modes": ["exact", "float"],
-        "results": results,
-        "diagnostics": {},
-        "status": status,
-    }
-    text = render_report(report, args.format)
-    if args.out:
-        Path(args.out).write_text(text)
-    sys.stdout.write(text)
-    return status
+    return _emit(args, "verify", results, {}, ["exact", "float"], status)
 
 
 # ---------------------------------------------------------------------------

@@ -201,9 +201,6 @@ class ClaimDistribution:
             acc = acc * s + c
         return acc
 
-    # alias kept for symmetry with pgf_derivatives_at_one
-    pgf_eval = pgf
-
     def pgf_minus_s2(self, s):
         """H(s) - s^2, the characteristic function whose zeros drive everything."""
         return self.pgf(s) - s * s

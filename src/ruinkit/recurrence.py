@@ -1,36 +1,31 @@
 """Sequences x_n, y_n and the determinants D_n that control initial values.
 
-The survival recursion phi(n) = x_n*phi(0) + y_n*phi(1) is driven by two
-deterministic sequences sharing one linear recurrence,
+The survival recursion phi(n) = x_n*phi(0) + y_n*phi(1) is driven by one
+deterministic sequence,
 
     x_0 = 1, x_1 = 0,   x_n = (x_{n-2} - sum_{i=1}^{n-1} h_{n-i} x_i) / h_0,
-    y_0 = 0, y_1 = 1,   same recurrence,
 
-and by the 2x2 determinants D_n = x_n y_{n+1} - x_{n+1} y_n, which are also
-h_0 * (x_n x_{n+2} - x_{n+1}^2), a Hankel determinant of the second order.
-Both forms are computed and required to agree.
+whose generating function is X(s) = H/(H - s^2).  The second sequence is
+the identity y_n = h_0 x_{n+1} (Y(s) = h_0 s/(H - s^2)), and the 2x2
+determinants D_n = x_n y_{n+1} - x_{n+1} y_n take the Hankel form
+D_n = h_0 (x_n x_{n+2} - x_{n+1}^2).
 
-In generating-function form X(s) = H/(H - s^2) and Y(s) = h_0 s/(H - s^2).
 Every built-in law has a rational p.g.f. H = P/R with integer polynomials:
 R = L and P = L*H for finite support (L the lcm of the denominators), and
-P = a, R = b - (b-a)s for geometric(a/b).  With Q = P - s^2 R,
-
-    Q X = P,    Q (R_0 Y) = P_0 s R,
-
-so exact mode runs one short recurrence of order deg Q on integer
-numerators N_n = q_0^(n+1) x_n and M_n = q_0^(n+1) R_0 y_n.  Both
-determinant formulas share the denominator R_0 q_0^(2n+3), so they are
-compared on integers too.  The cost is O(n * deg Q) big-integer
-multiply-adds, independent of the (possibly infinite) support, plus one gcd
-per returned entry when it becomes a reduced Fraction.
+P = a, R = b - (b-a)s for geometric(a/b).  With Q = P - s^2 R the sequence
+solves Q X = P, so exact mode runs one short recurrence of order deg Q on
+the integer numerators N_n = q_0^(n+1) x_n through n_max + 1 and reads
+y_n and D_n off them (h_0 = q_0/R_0).  The cost is O(n * deg Q)
+big-integer multiply-adds, independent of the (possibly infinite) support,
+plus one gcd per returned entry when it becomes a reduced Fraction.
 
 D_n grows like alpha^n while being a difference of alpha^(2n)-sized products,
 so floating arithmetic loses roughly one digit per unit of n*log10(alpha):
 verdicts about sign and monotonicity of D_n are only trustworthy in exact
 rational mode, which is the default whenever the pmf prefix is rational
 (always, for the built-in laws).  Float mode exists for cheap large-n probes,
-runs the pmf recurrence above and stores values scaled by a power of two to
-delay overflow.
+runs the pmf recurrence above for x and y and stores values scaled by a
+power of two to delay overflow.
 
 Aside: the bracket x_n x_{n+2} - x_{n+1}^2 inside D_n is the numerator of
 Aitken's Delta^2 acceleration, and |D_{n+1}/D_n| estimates the reciprocal
@@ -111,10 +106,10 @@ def build_table(
 ) -> SequenceTable:
     """Fill x, y through n_max and D through n_max - 1.
 
-    Exact mode keeps every entry a Fraction and verifies the two determinant
-    formulas agree exactly.  Float mode rescales by powers of two as the
-    entries grow (x_n ~ alpha^n); with ``scaled=False`` the finished table is
-    unscaled, raising TableOverflowError when that cannot be represented.
+    Exact mode keeps every entry a Fraction, with y and D read off the one
+    x sequence.  Float mode rescales by powers of two as the entries grow
+    (x_n ~ alpha^n); with ``scaled=False`` the finished table is unscaled,
+    raising TableOverflowError when that cannot be represented.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -134,27 +129,22 @@ def _build_exact(dist: ClaimDistribution, n_max: int) -> SequenceTable:
     # N_n = q0^(n+1) x_n turns q0 x_n = p_n - sum_k q_k x_{n-k} into
     # N_n = p_n q0^n - sum_k q_k q0^(k-1) N_{n-k}
     steps = [(k, q[k] * q0 ** (k - 1)) for k in range(1, len(q)) if q[k]]
-    x = _numerators(p, steps, q0, n_max)
-    y = _numerators([0] + [p[0] * v for v in r], steps, q0, n_max)
+    x = _numerators(p, steps, q0, n_max + 1)
+    # with h_0 = q0/r_0: D_n = (N_n N_{n+2} - N_{n+1}^2) / (r_0 q0^(2n+3))
     d: list[Fraction] = []
     den = r[0] * q0**3
     for n in range(n_max):
-        det = x[n] * y[n + 1] - x[n + 1] * y[n]
-        if n + 2 <= n_max:
-            hankel = x[n] * x[n + 2] - x[n + 1] ** 2
-            if hankel != det:
-                raise RuntimeError(
-                    f"determinant formulas disagree at n={n}: "
-                    f"{Fraction(det, den)} vs {Fraction(hankel, den)}"
-                )
-        d.append(Fraction(det, den))
+        d.append(Fraction(x[n] * x[n + 2] - x[n + 1] ** 2, den))
         den *= q0 * q0
-    # replace numerators in place, so each is freed once its Fraction exists
+    # y_n = N_{n+1} / (r_0 q0^(n+1)); replace numerators in place, so each
+    # is freed once its Fraction exists
+    y: list[Fraction] = []
     den = q0
     for n in range(n_max + 1):
+        y.append(Fraction(x[n + 1], r[0] * den))
         x[n] = Fraction(x[n], den)
-        y[n] = Fraction(y[n], r[0] * den)
         den *= q0
+    x.pop()
     return SequenceTable(dist=dist, mode=EXACT, x=x, y=y, d=d)
 
 
@@ -244,11 +234,6 @@ def _ldexp_checked(v: float, exp: int) -> float:
     return out
 
 
-def determinants(table: SequenceTable) -> list:
-    """The determinant sequence D_0..D_{N-1} of a built table."""
-    return list(table.d)
-
-
 @dataclass
 class ConjectureReport:
     """Outcome of the exact determinant check up to a horizon.
@@ -301,30 +286,9 @@ def check_conjecture(dist: ClaimDistribution, n_max: int, mode: str = EXACT) -> 
                     "use exact mode"
                 )
     one = Fraction(1) if mode == EXACT else 1.0
-
-    violations: list[int] = []
-    even_level = []
-    odd_level = []
-    even_step = []
-    odd_step = []
-    for n in range(n_max + 1):
-        if n % 2 == 0:
-            margin = d[n] - one
-            even_level.append(margin)
-        else:
-            margin = -one - d[n]
-            odd_level.append(margin)
-        if margin < 0:
-            violations.append(n)
-        if n + 2 <= n_max:
-            if n % 2 == 0:
-                step = d[n + 2] - d[n]
-                even_step.append(step)
-            else:
-                step = d[n] - d[n + 2]
-                odd_step.append(step)
-            if step < 0:
-                violations.append(n + 2)
+    level, step = _margin_scan(d)
+    violations = [n for n, m in enumerate(level) if m < 0]
+    violations += [n + 2 for n, m in enumerate(step) if m < 0]
     violation = min(violations) if violations else None
     return ConjectureReport(
         dist_label=dist.label(),
@@ -332,8 +296,20 @@ def check_conjecture(dist: ClaimDistribution, n_max: int, mode: str = EXACT) -> 
         mode=mode,
         holds=violation is None,
         violation_index=violation,
-        even_level_margin=min(even_level),
-        odd_level_margin=min(odd_level) if odd_level else one,
-        even_step_margin=min(even_step) if even_step else one,
-        odd_step_margin=min(odd_step) if odd_step else one,
+        even_level_margin=min(level[0::2]),
+        odd_level_margin=min(level[1::2], default=one),
+        even_step_margin=min(step[0::2], default=one),
+        odd_step_margin=min(step[1::2], default=one),
     )
+
+
+def _margin_scan(d: list) -> tuple[list, list]:
+    """Slack of the determinant pattern at every index of D_0..D_N.
+
+    ``level[n]`` is D_n - 1 for even n and -1 - D_n for odd n; ``step[n]``
+    is D_{n+2} - D_n for even n and D_n - D_{n+2} for odd n, for n <= N - 2.
+    The pattern holds at an index whose margin is >= 0 (> 0 when strict).
+    """
+    level = [v - 1 if n % 2 == 0 else -1 - v for n, v in enumerate(d)]
+    step = [d[n + 2] - d[n] if n % 2 == 0 else d[n] - d[n + 2] for n in range(len(d) - 2)]
+    return level, step

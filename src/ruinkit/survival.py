@@ -59,40 +59,26 @@ def _alpha_bits(alpha: float, n_terms: int) -> int:
     return max(192, int(n_terms * math.log2(max(alpha, 1.0 + 1e-9))) + 64)
 
 
-def initial_values_closed_form(
-    dist: ClaimDistribution, roots: RootProfile | None = None
-) -> tuple[float, float]:
-    """(phi(0), phi(1)) in closed form; (0, 0) whenever E Z >= 2."""
+def initial_values_closed_form(dist: ClaimDistribution, alpha=None) -> tuple:
+    """(phi(0), phi(1)) in closed form, in the arithmetic of ``alpha``.
+
+    For a primitive law, phi(0) = alpha(2 - EZ)/(1 + alpha) and
+    phi(1) = (2 - EZ)/(h_0 (1 + alpha)): floats for a float alpha (found by
+    find_alpha when omitted), exact rationals for a rational bracket of
+    alpha.  On the even lattice the values are alpha-free rationals,
+    phi(0) = (2 - EZ)/2 and phi(1) = (2 - EZ)/(2 h_0).  (0.0, 0.0) whenever
+    E Z >= 2.
+    """
     mean = dist.mean()
     if mean >= 2:
         return 0.0, 0.0
     surplus_rate = 2 - mean
     h0 = dist.hk(0)
     if not dist.is_primitive():
-        return float(surplus_rate / 2), float(surplus_rate / (2 * h0))
-    alpha = roots.alpha if roots is not None else find_alpha(dist)
-    phi0 = alpha * float(surplus_rate) / (1.0 + alpha)
-    phi1 = float(surplus_rate) / (float(h0) * (1.0 + alpha))
-    return phi0, phi1
-
-
-def _closed_form_rational(
-    dist: ClaimDistribution, alpha_rat: Fraction | None = None
-) -> tuple[Fraction, Fraction]:
-    """Closed-form initial values with alpha replaced by a rational bracket.
-
-    The even-lattice branch is alpha-free and needs no bracket.
-    """
-    mean = dist.mean()
-    surplus_rate = 2 - mean
-    h0 = dist.hk(0)
-    if not dist.is_primitive():
         return surplus_rate / 2, surplus_rate / (2 * h0)
-    if alpha_rat is None:
-        raise ValueError("a rational alpha bracket is required for primitive laws")
-    phi0 = alpha_rat * surplus_rate / (1 + alpha_rat)
-    phi1 = surplus_rate / (h0 * (1 + alpha_rat))
-    return phi0, phi1
+    if alpha is None:
+        alpha = find_alpha(dist)
+    return alpha * surplus_rate / (1 + alpha), surplus_rate / (h0 * (1 + alpha))
 
 
 @dataclass(frozen=True)
@@ -233,10 +219,9 @@ def pi_values(
         (2 h_0 + h_1) pi_0 + h_0 pi_1 = 2 - EZ        (expectation balance)
         (h_0 + h_1 - h_0 alpha) pi_0 + h_0 pi_1 = 0   (evaluation at -1/alpha)
 
-    so pi_0 = (2-EZ)/(h_0 (1+alpha)) = phi(1) and
-    pi_1 = (2-EZ)(alpha - 1 - h_1/h_0)/(h_0 (1+alpha)).  Both residuals are
-    verified to 1e-12 before returning.  The zero solution is returned when
-    E Z >= 2.
+    so pi_0 = (2-EZ)/(h_0 (1+alpha)) = phi(1), taken from the closed form,
+    and pi_1 = phi(1)(alpha - 1 - h_1/h_0).  Both residuals are verified to
+    1e-12 before returning.  The zero solution is returned when E Z >= 2.
     """
     if not dist.is_primitive():
         raise ValueError(
@@ -250,8 +235,8 @@ def pi_values(
     h0 = float(dist.hk(0))
     h1 = float(dist.hk(1))
     rate = float(2 - mean)
-    pi0 = rate / (h0 * (1.0 + alpha))
-    pi1 = rate * (alpha - 1.0 - h1 / h0) / (h0 * (1.0 + alpha))
+    pi0 = initial_values_closed_form(dist, alpha)[1]
+    pi1 = pi0 * (alpha - 1.0 - h1 / h0)
     res1 = abs((2.0 * h0 + h1) * pi0 + h0 * pi1 - rate)
     res2 = abs(pi0 * (h0 + h1 - h0 * alpha) + pi1 * h0)
     if max(res1, res2) > 1e-12:
@@ -289,12 +274,20 @@ def solve(
     The closed form is always the route of record for phi(0), phi(1); the
     ratio route at n_limit and the generating-function route are computed on
     request ("limit", "xi", or "all") and surfaced in diagnostics together
-    with the maximum pairwise disagreement.
+    with the maximum pairwise disagreement ``max_route_delta``.  Every regime
+    takes the same path and records that delta: when E Z >= 2 every route
+    gives zero, the ratio route is skipped (it needs phi(infinity) = 1) and
+    the delta is 0.
     """
     if route not in (ROUTE_CLOSED, ROUTE_LIMIT, ROUTE_XI, ROUTE_ALL):
         raise ValueError(f"unknown route {route!r}")
     reg = regime(dist)
+    primitive = dist.is_primitive()
+    # the ratio route needs phi(infinity) = 1, i.e. E Z < 2
+    want_limit = reg == SURVIVABLE and route in (ROUTE_LIMIT, ROUTE_ALL)
+    want_xi = route in (ROUTE_XI, ROUTE_ALL)
     diagnostics: dict = {"regime": reg, "routes": {}}
+    xi = None
 
     if reg != SURVIVABLE:
         diagnostics["note"] = (
@@ -302,77 +295,50 @@ def solve(
             "the ratio route is inapplicable (phi(infinity) = 0) and the "
             "generating function is identically zero by its positive part"
         )
-        diagnostics["routes"]["closed_form"] = [0.0, 0.0]
-        xi = (
-            PowerSeries.of([0.0] * (u_max + 1), FLOAT)
-            if dist.is_primitive()
-            else None
-        )
-        return SurvivalSolution(
-            regime=reg,
-            phi0=0.0,
-            phi1=0.0,
-            phi_table=[0.0] * (u_max + 1),
-            pi0=0.0,
-            pi1=0.0,
-            xi=xi,
-            method=route,
-            diagnostics=diagnostics,
-        )
-
-    primitive = dist.is_primitive()
-    want_limit = route in (ROUTE_LIMIT, ROUTE_ALL)
-    want_xi = route in (ROUTE_XI, ROUTE_ALL)
-
-    if primitive:
+        phi0 = phi1 = pi0 = pi1 = 0.0
+        table = [0.0] * (u_max + 1)
+        if primitive:
+            xi = PowerSeries.of(table, FLOAT)
+    elif primitive:
         profile = root_profile(dist, tol)
         bits = _alpha_bits(profile.alpha, max(u_max, 8))
         alpha_rat = refine_alpha(dist, bits)
-        p0_rat, p1_rat = _closed_form_rational(dist, alpha_rat)
+        p0_rat, p1_rat = initial_values_closed_form(dist, alpha_rat)
         phi0, phi1 = float(p0_rat), float(p1_rat)
         diagnostics["alpha"] = profile.alpha
         diagnostics["alpha_bits"] = bits
         diagnostics["vanishing_order"] = profile.r
         table = phi_table(dist, p0_rat, p1_rat, u_max)
         pi0, pi1 = pi_values(dist, profile)
-        xi = None
         if want_xi:
             coeffs = _xi_rational_coeffs(dist, alpha_rat, u_max)
             xi = PowerSeries.of([float(v) for v in coeffs], FLOAT)
             diagnostics["routes"]["xi_series"] = [float(coeffs[0])]
-        if want_limit:
-            seq = build_table(dist, n_limit + 1, mode=EXACT)
-            est = initial_values_limit(seq, n_limit)
-            diagnostics["routes"]["limit_ratio"] = [est.phi0, est.phi1]
-            diagnostics["limit_n_used"] = est.n_used
-            diagnostics["limit_delta"] = est.delta
     else:
-        p0_rat, p1_rat = _closed_form_rational(dist)
+        p0_rat, p1_rat = initial_values_closed_form(dist)
         phi0, phi1 = float(p0_rat), float(p1_rat)
         ext = phi_table(dist, p0_rat, p1_rat, max(u_max, 2))
         table = ext[: u_max + 1]
         # pi from survival differences along the half-process table
         pi0, pi1 = ext[1], ext[2] - ext[1]
         diagnostics["pi_source"] = "half-process table differences"
-        xi = None
         if want_xi:
             diagnostics["routes"]["xi_series"] = None
             diagnostics.setdefault("notes", []).append(
                 "generating-function route skipped: even-lattice law"
             )
-        if want_limit:
-            seq = build_table(dist, n_limit + 1, mode=EXACT)
-            est = initial_values_limit(seq, n_limit)
-            diagnostics["routes"]["limit_ratio"] = [est.phi0, est.phi1]
-            diagnostics["limit_n_used"] = est.n_used
-            diagnostics["limit_delta"] = est.delta
 
     diagnostics["routes"]["closed_form"] = [phi0, phi1]
     values0 = [phi0]
     values1 = [phi1]
     if want_limit:
-        values0.append(diagnostics["routes"]["limit_ratio"][0])
-        values1.append(diagnostics["routes"]["limit_ratio"][1])
+        seq = build_table(dist, n_limit + 1, mode=EXACT)
+        est = initial_values_limit(seq, n_limit)
+        diagnostics["routes"]["limit_ratio"] = [est.phi0, est.phi1]
+        diagnostics["limit_n_used"] = est.n_used
+        diagnostics["limit_delta"] = est.delta
+        values0.append(est.phi0)
+        values1.append(est.phi1)
     if want_xi and xi is not None:
         # xi_0 = phi(1); phi(0) is recovered from the recursion at u = 0:
         # phi(0) = h_1 phi(1) + h_0 phi(2)

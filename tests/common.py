@@ -79,3 +79,53 @@ def reference_table(dist, n_max):
             assert det == h[0] * (x[n] * x[n + 2] - x[n + 1] ** 2), n
         d.append(det)
     return x, y, d
+
+
+def naive_chain(d, strict):
+    """The determinant chain 1 <= D_0 <= D_2 <= ... and ... <= D_3 <= D_1 <= -1
+    on D_0..D_N, one inequality at a time.
+
+    Returns ``(violation, margins, failures)``: the smallest index whose level
+    or step inequality fails (None when none does); the tightest slack of the
+    even-level, odd-level, even-step and odd-step inequalities (1 for a kind
+    that never applies); and the pairs n whose four inequalities
+    1 < D_2n, D_2n < D_2n+2, D_2n+1 < -1, D_2n+3 < D_2n+1 do not all hold
+    (<= in place of < unless ``strict``).
+    """
+    top = len(d) - 1
+    bad = []
+    even_level, odd_level, even_step, odd_step = [], [], [], []
+    for n in range(0, top + 1, 2):
+        even_level.append(d[n] - 1)
+        if not d[n] >= 1:
+            bad.append(n)
+        if n + 2 <= top:
+            even_step.append(d[n + 2] - d[n])
+            if not d[n + 2] >= d[n]:
+                bad.append(n + 2)
+    for n in range(1, top + 1, 2):
+        odd_level.append(-1 - d[n])
+        if not d[n] <= -1:
+            bad.append(n)
+        if n + 2 <= top:
+            odd_step.append(d[n] - d[n + 2])
+            if not d[n + 2] <= d[n]:
+                bad.append(n + 2)
+    margins = tuple(
+        min(m) if m else Fraction(1) for m in (even_level, odd_level, even_step, odd_step)
+    )
+
+    def below(a, b):
+        return a < b if strict else a <= b
+
+    failures = [
+        n
+        for n in range((top - 3) // 2 + 1)
+        if not (
+            below(1, d[2 * n])
+            and below(d[2 * n], d[2 * n + 2])
+            and below(d[2 * n + 1], -1)
+            and below(d[2 * n + 3], d[2 * n + 1])
+        )
+    ]
+    return (min(bad) if bad else None), margins, failures

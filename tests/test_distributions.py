@@ -52,7 +52,6 @@ def test_pgf_normalization_at_one():
     for dist in all_fixtures():
         assert dist.pgf(F(1)) == 1
         assert abs(dist.pgf(1.0) - 1.0) < 1e-14
-        assert dist.pgf_eval(F(1)) == 1  # alias
 
 
 def test_pgf_matches_series_summation():

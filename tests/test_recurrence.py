@@ -8,16 +8,17 @@ from hypothesis import strategies as st
 
 from ruinkit import (
     ClaimDistribution,
+    PowerSeries,
     TableOverflowError,
     build_table,
     check_conjecture,
-    determinants,
     pgf_minus_s2_series,
     pgf_series,
     series_divide,
+    verify_sign_monotonicity,
 )
 
-from common import all_fixtures, bernoulli_fixtures, reference_table
+from common import all_fixtures, bernoulli_fixtures, naive_chain, reference_table
 
 F = Fraction
 
@@ -85,13 +86,12 @@ def test_series_division_matches_recurrence():
     n = 36
     for dist in all_fixtures():
         t = build_table(dist, n)
-        xs = series_divide(pgf_series(dist, n), pgf_minus_s2_series(dist, n), n)
+        den = pgf_minus_s2_series(dist, n)
+        xs = series_divide(pgf_series(dist, n), den, n)
         assert list(xs.coeffs) == t.x
-
-
-def test_determinants_accessor():
-    t = build_table(ClaimDistribution.bernoulli(F(1, 2)), 6)
-    assert determinants(t) == t.d
+        # Y = h_0 s/(H - s^2), independent of y_n = h_0 x_{n+1}
+        h0_s = PowerSeries.of([F(0), dist.hk(0)] + [F(0)] * (n - 1))
+        assert list(series_divide(h0_s, den, n).coeffs) == t.y
 
 
 def test_conjecture_fixtures_hold():
@@ -186,3 +186,26 @@ def test_exact_table_matches_reference_recurrence(dist, n_max):
     assert t.x == x
     assert t.y == y
     assert t.d == d
+
+
+@settings(max_examples=60, deadline=None)
+@given(dist=_laws, n=st.integers(3, 150))
+def test_pattern_scan_matches_naive_chain(dist, n):
+    d = reference_table(dist, n + 1)[2]  # D_0..D_n
+    violation, margins, failures = naive_chain(d, strict=dist.is_primitive())
+    report = check_conjecture(dist, n)
+    assert report.holds == (violation is None)
+    assert report.violation_index == violation
+    assert (
+        report.even_level_margin,
+        report.odd_level_margin,
+        report.even_step_margin,
+        report.odd_step_margin,
+    ) == margins
+    pattern = verify_sign_monotonicity(build_table(dist, n + 1))
+    pairs = (n - 3) // 2 + 1
+    assert pattern.pairs_checked == pairs
+    assert pattern.failures == tuple(failures)
+    assert pattern.n0 == max(failures, default=0)
+    # stabilized: no failing pair in the last quarter, from pair 3*pairs//4 on
+    assert pattern.stabilized == all(f < 3 * pairs // 4 for f in failures)

@@ -242,6 +242,7 @@ def test_zero_regimes_all_routes():
         assert not any(sol.phi_table)
         assert (sol.pi0, sol.pi1) == (0.0, 0.0)
         assert sol.xi is not None and not any(sol.xi.coeffs)
+        assert sol.diagnostics["max_route_delta"] == 0.0
 
 
 def test_solve_rejects_unknown_route():
