@@ -189,8 +189,8 @@ class SignMonotonicityReport:
     from the start): for every checked n > n0 the pattern holds.  The pattern
     is strict (1 < D_{2n} < D_{2n+2}, D_{2n+3} < D_{2n+1} < -1) for primitive
     laws and non-strict for even-lattice laws, where D_n is eventually
-    constant along each parity.  n0 is an observed quantity, not a certified
-    threshold.
+    constant along each parity; D_0 = 1 for every law, so pair 0 asks only
+    1 <= D_0.  n0 is an observed quantity, not a certified threshold.
     """
 
     n0: int
@@ -209,11 +209,18 @@ def verify_sign_monotonicity(
     last = (len(table.d) - 1 - 3) // 2
     if last < 0:
         raise ValueError("table horizon too short: need D_0..D_3 at least")
-    # pair n holds when the levels at 2n, 2n+1 and the steps from them do
+    # pair n holds when the levels at 2n, 2n+1 and the steps from them do;
+    # D_0 = 1 for every law, so the level at index 0 is compared non-strictly
     level, step = _margin_scan(table.d)
-    slack = [min(level[2 * n], level[2 * n + 1], step[2 * n], step[2 * n + 1])
-             for n in range(last + 1)]
-    failures = tuple(n for n, m in enumerate(slack) if (m <= 0 if strict else m < 0))
+
+    def fails(margin, strict_here):
+        return margin <= 0 if strict_here else margin < 0
+
+    failures = tuple(
+        n for n in range(last + 1)
+        if fails(level[2 * n], strict and n > 0)
+        or fails(min(level[2 * n + 1], step[2 * n], step[2 * n + 1]), strict)
+    )
     n0 = max(failures) if failures else 0
     tail_start = 3 * (last + 1) // 4
     stabilized = all(f < tail_start for f in failures)

@@ -17,6 +17,16 @@ seed), and trial i consumes word i of that plane.  Any 4-aligned block of
 trials can therefore be regenerated in isolation (Philox counters advance in
 4-word blocks), so evaluating trials in chunks - serially or concurrently -
 reproduces the monolithic run exactly.
+
+Each step keeps only the live trials (their indices and surplus), compacted
+after every step that ruins one, and ends the block once none is left.  Raw
+Philox words map to claims without a Generator: word w is the uniform
+(w >> 11) * 2**-53, the double ``Generator.random`` would draw from it, and
+its top _GUIDE_BITS bits pick a guide-table bucket (Chen & Asau 1974).  A
+bucket that holds no cdf point gives its claim directly; only the few buckets
+split by a cdf point fall back to the binary search.  Either way the claim is
+``searchsorted(cdf, uniform, "right")``, so the survivors are exactly those of
+stepping every trial with Generator uniforms and a full binary search.
 """
 
 from __future__ import annotations
@@ -128,38 +138,57 @@ def _claim_cdf(dist: ClaimDistribution, eps: float | None = None) -> np.ndarray:
     )
 
 
-def _step_generator(seed: int, step: int, word_offset: int = 0) -> np.random.Generator:
-    """Generator positioned on the counter plane of one step.
+#: bits of the uniform that pick a guide-table bucket (2**12 buckets)
+_GUIDE_BITS = 12
 
-    ``word_offset`` must be a multiple of 4: Philox emits 4 words per counter
-    and a 4-aligned offset lands exactly on a block boundary.
+
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Claim index for every bucket [b, b + 1) / 2**_GUIDE_BITS of the
+    uniform, or -1 where a cdf point falls inside the bucket.
+
+    A bucket that holds no cdf point maps all its uniforms to one claim,
+    ``searchsorted(cdf, b / 2**_GUIDE_BITS, "right")``; only the split
+    buckets need the search itself.
     """
-    if word_offset % 4:
-        raise ValueError("word offset must be 4-aligned")
-    counter = (step << 128) + (word_offset >> 2)
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=counter))
+    edges = np.arange(2**_GUIDE_BITS + 1) * 2.0**-_GUIDE_BITS
+    lo = np.searchsorted(cdf, edges, side="right")
+    return np.where(lo[:-1] == lo[1:], lo[:-1], -1)
 
 
 def _simulate_block(
-    dist: ClaimDistribution,
     u: int,
     cfg: MCConfig,
     start: int,
     count: int,
     cdf: np.ndarray,
+    guide: np.ndarray,
 ) -> int:
-    """Number of surviving trials among [start, start + count)."""
+    """Number of surviving trials among [start, start + count).
+
+    ``start`` is 4-aligned, so word ``start`` opens a Philox counter block.
+    Only live trials are stepped: ``trial`` and ``w`` hold the index and the
+    surplus of each, compacted after every step that ruins one.
+    """
+    key = np.uint64(cfg.seed)
+    trial = np.arange(count)
     w = np.full(count, u, dtype=np.int64)
-    alive = np.ones(count, dtype=bool)
     for step in range(1, cfg.horizon + 1):
-        gen = _step_generator(cfg.seed, step, start)
-        uniforms = gen.random(count)
-        claims = np.searchsorted(cdf, uniforms, side="right")
-        w = np.where(alive, w + 2 - claims, w)
-        alive &= w >= 1
-        if not alive.any():
-            break
-    return int(alive.sum())
+        raw = np.random.Philox(key=key, counter=(step << 128) + (start >> 2)).random_raw(count)
+        if len(trial) < count:
+            raw = raw[trial]
+        claims = guide[raw >> (64 - _GUIDE_BITS)]
+        split = claims < 0
+        if split.any():
+            # (raw >> 11) * 2**-53 is the double Generator.random returns
+            claims[split] = np.searchsorted(cdf, (raw[split] >> 11) * 2.0**-53, side="right")
+        w += 2 - claims
+        live = w >= 1
+        if not live.all():
+            trial = trial[live]
+            w = w[live]
+            if not len(trial):
+                break
+    return len(trial)
 
 
 def mc_estimate(
@@ -181,12 +210,13 @@ def mc_estimate(
     if trial_chunk is not None and (trial_chunk < 4 or trial_chunk % 4):
         raise ValueError("trial_chunk must be a positive multiple of 4")
     cdf = _claim_cdf(dist)
+    guide = _guide_table(cdf)
     chunk = cfg.trials if trial_chunk is None else trial_chunk
     survivors = 0
     start = 0
     while start < cfg.trials:
         count = min(chunk, cfg.trials - start)
-        survivors += _simulate_block(dist, u, cfg, start, count, cdf)
+        survivors += _simulate_block(u, cfg, start, count, cdf, guide)
         start += count
     estimate = survivors / cfg.trials
     half_width = 1.96 * math.sqrt(max(estimate * (1.0 - estimate), 0.0) / cfg.trials)

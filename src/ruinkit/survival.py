@@ -208,9 +208,7 @@ def _phi_table_half_process(
     return out
 
 
-def pi_values(
-    dist: ClaimDistribution, roots: RootProfile | None = None
-) -> tuple[float, float]:
+def pi_values(dist: ClaimDistribution, alpha=None) -> tuple[float, float]:
     """(pi_0, pi_1): the first two masses of the all-time claim-surplus peak.
 
     pi_i = P(M+ = i) where M+ is the non-negative running maximum of the
@@ -220,8 +218,11 @@ def pi_values(
         (h_0 + h_1 - h_0 alpha) pi_0 + h_0 pi_1 = 0   (evaluation at -1/alpha)
 
     so pi_0 = (2-EZ)/(h_0 (1+alpha)) = phi(1), taken from the closed form,
-    and pi_1 = phi(1)(alpha - 1 - h_1/h_0).  Both residuals are verified to
-    1e-12 before returning.  The zero solution is returned when E Z >= 2.
+    and pi_1 = phi(1)(alpha - 1 - h_1/h_0).  Both are evaluated in the
+    arithmetic of ``alpha``, as initial_values_closed_form does (a float
+    root found by find_alpha when omitted, exact for a rational bracket of
+    alpha), and floated on return.  Both residuals are verified to 1e-12
+    before returning.  The zero solution is returned when E Z >= 2.
     """
     if not dist.is_primitive():
         raise ValueError(
@@ -231,12 +232,15 @@ def pi_values(
     mean = dist.mean()
     if mean >= 2:
         return 0.0, 0.0
-    alpha = roots.alpha if roots is not None else find_alpha(dist)
+    if alpha is None:
+        alpha = find_alpha(dist)
+    phi1 = initial_values_closed_form(dist, alpha)[1]
+    pi0 = float(phi1)
+    pi1 = float(phi1 * (alpha - 1 - dist.hk(1) / dist.hk(0)))
     h0 = float(dist.hk(0))
     h1 = float(dist.hk(1))
+    alpha = float(alpha)
     rate = float(2 - mean)
-    pi0 = initial_values_closed_form(dist, alpha)[1]
-    pi1 = pi0 * (alpha - 1.0 - h1 / h0)
     res1 = abs((2.0 * h0 + h1) * pi0 + h0 * pi1 - rate)
     res2 = abs(pi0 * (h0 + h1 - h0 * alpha) + pi1 * h0)
     if max(res1, res2) > 1e-12:
@@ -309,7 +313,7 @@ def solve(
         diagnostics["alpha_bits"] = bits
         diagnostics["vanishing_order"] = profile.r
         table = phi_table(dist, p0_rat, p1_rat, u_max)
-        pi0, pi1 = pi_values(dist, profile)
+        pi0, pi1 = pi_values(dist, alpha_rat)
         if want_xi:
             coeffs = _xi_rational_coeffs(dist, alpha_rat, u_max)
             xi = PowerSeries.of([float(v) for v in coeffs], FLOAT)

@@ -2,7 +2,31 @@
 
 from fractions import Fraction
 
+import numpy as np
+from hypothesis import strategies as st
+
 from ruinkit import ClaimDistribution
+
+
+def _pmf(weights):
+    total = sum(weights)
+    return [Fraction(w, total) for w in weights]
+
+
+# h_0 > 0 keeps every law valid; the tail weights reach E Z well past 2
+_weights = st.tuples(
+    st.integers(1, 30), st.lists(st.integers(0, 30), min_size=1, max_size=7)
+).map(lambda t: [t[0], *t[1]])
+_ratios = st.integers(2, 41).flatmap(lambda b: st.tuples(st.integers(1, b - 1), st.just(b)))
+
+#: random rational laws of every kind: tabulated, even-lattice, Bernoulli,
+#: geometric
+laws = st.one_of(
+    _weights.map(lambda w: ClaimDistribution.tabulated(_pmf(w))),
+    _weights.map(lambda w: ClaimDistribution.even_lattice(_pmf(w))),
+    _ratios.map(lambda t: ClaimDistribution.bernoulli(Fraction(*t))),
+    _ratios.map(lambda t: ClaimDistribution.geometric(Fraction(*t))),
+)
 
 
 def bernoulli_fixtures():
@@ -81,6 +105,24 @@ def reference_table(dist, n_max):
     return x, y, d
 
 
+def reference_survivors(u, cfg, start, count, cdf):
+    """Survivors among trials [start, start + count) of a Monte Carlo run,
+    stepping every trial: a Generator on the step's Philox counter plane
+    draws all ``count`` uniforms, each maps to a claim by binary search, and
+    ruined trials are masked, not removed."""
+    w = np.full(count, u, dtype=np.int64)
+    alive = np.ones(count, dtype=bool)
+    for step in range(1, cfg.horizon + 1):
+        bitgen = np.random.Philox(key=np.uint64(cfg.seed), counter=(step << 128) + (start >> 2))
+        uniforms = np.random.Generator(bitgen).random(count)
+        claims = np.searchsorted(cdf, uniforms, side="right")
+        w = np.where(alive, w + 2 - claims, w)
+        alive &= w >= 1
+        if not alive.any():
+            break
+    return int(alive.sum())
+
+
 def naive_chain(d, strict):
     """The determinant chain 1 <= D_0 <= D_2 <= ... and ... <= D_3 <= D_1 <= -1
     on D_0..D_N, one inequality at a time.
@@ -90,7 +132,7 @@ def naive_chain(d, strict):
     even-level, odd-level, even-step and odd-step inequalities (1 for a kind
     that never applies); and the pairs n whose four inequalities
     1 < D_2n, D_2n < D_2n+2, D_2n+1 < -1, D_2n+3 < D_2n+1 do not all hold
-    (<= in place of < unless ``strict``).
+    (<= in place of < unless ``strict``; always 1 <= D_0, which is 1 exactly).
     """
     top = len(d) - 1
     bad = []
@@ -115,14 +157,14 @@ def naive_chain(d, strict):
         min(m) if m else Fraction(1) for m in (even_level, odd_level, even_step, odd_step)
     )
 
-    def below(a, b):
-        return a < b if strict else a <= b
+    def below(a, b, weak=False):
+        return a < b if strict and not weak else a <= b
 
     failures = [
         n
         for n in range((top - 3) // 2 + 1)
         if not (
-            below(1, d[2 * n])
+            below(1, d[2 * n], weak=n == 0)
             and below(d[2 * n], d[2 * n + 2])
             and below(d[2 * n + 1], -1)
             and below(d[2 * n + 3], d[2 * n + 1])

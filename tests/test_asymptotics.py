@@ -119,12 +119,14 @@ def test_sign_monotonicity_reports():
         ClaimDistribution.bernoulli(F(1, 2)),
         ClaimDistribution.geometric(F(1, 3)),
     ):
-        table = build_table(dist, 83)
-        report = verify_sign_monotonicity(table, _coeffs(dist))
-        assert report.n0 == 0
-        assert report.stabilized
-        assert report.strict
-        assert report.growth
+        for n_max in (4, 83):
+            # D_0 = 1 exactly, so pair 0 holds: no failure at all
+            report = verify_sign_monotonicity(build_table(dist, n_max), _coeffs(dist))
+            assert report.failures == ()
+            assert report.n0 == 0
+            assert report.stabilized
+            assert report.strict
+            assert report.growth
 
 
 def test_determinant_alternating_signs():

@@ -3,7 +3,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ruinkit import (
     ClaimDistribution,
@@ -13,8 +16,9 @@ from ruinkit import (
     initial_values_closed_form,
     mc_estimate,
 )
+from ruinkit.oracle import _claim_cdf, _guide_table, _simulate_block
 
-from common import all_fixtures, enumerate_survival
+from common import all_fixtures, enumerate_survival, laws, reference_survivors
 
 F = Fraction
 
@@ -148,3 +152,39 @@ def test_mc_validates_inputs():
         mc_estimate(dist, 0, MCConfig(trials=0, horizon=5))
     with pytest.raises(ValueError):
         mc_estimate(dist, -1, MCConfig(trials=10, horizon=5))
+
+
+def test_philox_raw_word_is_generator_double():
+    key, counter = np.uint64(2024), (7 << 128) + 3
+    doubles = np.random.Generator(np.random.Philox(key=key, counter=counter)).random(1001)
+    words = np.random.Philox(key=key, counter=counter).random_raw(1001)
+    assert np.array_equal(doubles, (words >> 11) * 2.0**-53)
+
+
+# pmf:1/2,1/4,1/4 puts its cdf points on bucket edges; geometric(1/3)'s
+# truncated cdf ends below 1; geometric(2/5) crowds cdf points into the last
+# bucket; geometric(1/2) is the law the benchmark simulates
+@settings(max_examples=40, deadline=None)
+@given(
+    dist=laws,
+    u=st.integers(0, 6),
+    seed=st.integers(0, 2**64 - 1),
+    trials=st.builds(lambda q, r: 4 * q + r, st.integers(0, 499), st.integers(1, 3)),
+    horizon=st.integers(1, 60),
+    chunk=st.sampled_from([None, 4, 64]),
+)
+@example(dist=ClaimDistribution.tabulated([F(1, 2), F(1, 4), F(1, 4)]), u=0, seed=3,
+         trials=1999, horizon=60, chunk=64)
+@example(dist=ClaimDistribution.geometric(F(1, 2)), u=0, seed=0, trials=1999, horizon=60, chunk=None)
+@example(dist=ClaimDistribution.geometric(F(1, 3)), u=1, seed=5, trials=1001, horizon=60, chunk=4)
+@example(dist=ClaimDistribution.geometric(F(2, 5)), u=2, seed=7, trials=1999, horizon=60, chunk=64)
+def test_simulate_block_matches_reference(dist, u, seed, trials, horizon, chunk):
+    cfg = MCConfig(trials=trials, horizon=horizon, seed=seed)
+    cdf = _claim_cdf(dist)
+    guide = _guide_table(cdf)
+    step = trials if chunk is None else chunk
+    survivors = sum(
+        _simulate_block(u, cfg, start, min(step, trials - start), cdf, guide)
+        for start in range(0, trials, step)
+    )
+    assert survivors == reference_survivors(u, cfg, 0, trials, cdf)

@@ -18,7 +18,7 @@ from ruinkit import (
     verify_sign_monotonicity,
 )
 
-from common import all_fixtures, bernoulli_fixtures, naive_chain, reference_table
+from common import all_fixtures, bernoulli_fixtures, laws, naive_chain, reference_table
 
 F = Fraction
 
@@ -156,27 +156,8 @@ def test_build_table_rejects_tiny_horizon():
         build_table(ClaimDistribution.bernoulli(F(1, 2)), 1)
 
 
-def _pmf(weights):
-    total = sum(weights)
-    return [F(w, total) for w in weights]
-
-
-# h_0 > 0 keeps every law valid; the tail weights reach E Z well past 2
-_weights = st.tuples(
-    st.integers(1, 30), st.lists(st.integers(0, 30), min_size=1, max_size=7)
-).map(lambda t: [t[0], *t[1]])
-_ratios = st.integers(2, 41).flatmap(lambda b: st.tuples(st.integers(1, b - 1), st.just(b)))
-
-_laws = st.one_of(
-    _weights.map(lambda w: ClaimDistribution.tabulated(_pmf(w))),
-    _weights.map(lambda w: ClaimDistribution.even_lattice(_pmf(w))),
-    _ratios.map(lambda t: ClaimDistribution.bernoulli(F(*t))),
-    _ratios.map(lambda t: ClaimDistribution.geometric(F(*t))),
-)
-
-
 @settings(max_examples=60, deadline=None)
-@given(dist=_laws, n_max=st.integers(2, 150))
+@given(dist=laws, n_max=st.integers(2, 150))
 @example(dist=ClaimDistribution.tabulated([F(1, 5), F(1, 5), 0, 0, 0, F(3, 5)]), n_max=150)
 @example(dist=ClaimDistribution.even_lattice([F(1, 3), F(1, 3), F(1, 3)]), n_max=150)
 @example(dist=ClaimDistribution.geometric(F(5, 12)), n_max=150)
@@ -189,7 +170,7 @@ def test_exact_table_matches_reference_recurrence(dist, n_max):
 
 
 @settings(max_examples=60, deadline=None)
-@given(dist=_laws, n=st.integers(3, 150))
+@given(dist=laws, n=st.integers(3, 150))
 def test_pattern_scan_matches_naive_chain(dist, n):
     d = reference_table(dist, n + 1)[2]  # D_0..D_n
     violation, margins, failures = naive_chain(d, strict=dist.is_primitive())

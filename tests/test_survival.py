@@ -182,6 +182,14 @@ def test_pi_values_bernoulli():
     pi0, pi1 = pi_values(ClaimDistribution.bernoulli(F(1, 3)))
     assert abs(pi0 - 1.0) < 1e-12
     assert abs(pi1) < 1e-12
+    # pi is evaluated in alpha's arithmetic: at the exact alpha = 1 + h_1/h_0
+    # = 5 of bernoulli(4/5), pi_1 vanishes exactly; solve passes its rational
+    # bracket of alpha, so no float root error leaks into pi_0 or pi_1
+    dist = ClaimDistribution.bernoulli(F(4, 5))
+    assert pi_values(dist, F(5)) == (1.0, 0.0)
+    sol = solve(dist, u_max=20)
+    assert sol.pi0 == 1.0
+    assert abs(sol.pi1) < 1e-40
 
 
 def test_pi_values_zero_for_heavy_mean():
