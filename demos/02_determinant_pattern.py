@@ -26,7 +26,7 @@ LAWS = [
 def main() -> None:
     horizon = 200
     for dist in LAWS:
-        report = check_conjecture(dist, horizon, mode="exact")
+        report = check_conjecture(dist, horizon)
         print(f"== {dist.label()}: {report.verdict}")
         print(f"   min(D_2n - 1)        = {float(report.even_level_margin):.6g}")
         print(f"   min(-1 - D_2n+1)     = {float(report.odd_level_margin):.6g}")

@@ -50,7 +50,7 @@ def main() -> None:
         print(f"   relative residuals at n = 10, 40, 80: "
               f"{res[10]:.2e}, {res[40]:.2e}, {res[80]:.2e}")
 
-        ratio = table.df(80) / table.df(78)
+        ratio = float(table.d[80] / table.d[78])
         print(f"   D_80/D_78 = {ratio:.9f} vs limit {determinant_ratio_limit(coeffs):.9f}")
         pattern = verify_sign_monotonicity(table, coeffs)
         print(f"   pattern stabilizes at n0 = {pattern.n0} (empirical); {pattern.growth}")

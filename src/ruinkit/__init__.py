@@ -21,13 +21,7 @@ from .asymptotics import (
 )
 from .distributions import ClaimDistribution, DistributionError, MomentReport
 from .oracle import DPConfig, DPResult, MCConfig, MCResult, finite_horizon_dp, mc_estimate
-from .recurrence import (
-    ConjectureReport,
-    SequenceTable,
-    TableOverflowError,
-    build_table,
-    check_conjecture,
-)
+from .recurrence import ConjectureReport, SequenceTable, build_table, check_conjecture
 from .roots import (
     MomentConditionError,
     RootLocationError,
@@ -71,7 +65,6 @@ __all__ = [
     "SequenceTable",
     "SeriesError",
     "SurvivalSolution",
-    "TableOverflowError",
     "build_table",
     "check_conjecture",
     "compute_coefficients",

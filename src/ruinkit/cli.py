@@ -142,19 +142,13 @@ def _emit(args, command: str, results: dict, diagnostics: dict, modes: list, sta
 # subcommands
 
 def _cmd_table(args) -> int:
-    table = recurrence.build_table(args.dist_obj, args.n, mode=args.mode)
-    results = {
-        "x": table.x,
-        "y": table.y,
-        "d": table.d,
-        "scale_log2": table.scale_log2,
-    }
-    diag = {"hankel_max_rel_diff": table.hankel_max_rel_diff}
-    return _emit(args, "table", results, diag, [args.mode], EXIT_OK)
+    table = recurrence.build_table(args.dist_obj, args.n)
+    results = {"x": table.x, "y": table.y, "d": table.d}
+    return _emit(args, "table", results, {}, ["exact"], EXIT_OK)
 
 
 def _cmd_conjecture(args) -> int:
-    report = recurrence.check_conjecture(args.dist_obj, args.n, mode=args.mode)
+    report = recurrence.check_conjecture(args.dist_obj, args.n)
     results = {
         "verdict": report.verdict,
         "holds": report.holds,
@@ -170,7 +164,7 @@ def _cmd_conjecture(args) -> int:
     status = EXIT_OK if report.holds else EXIT_CHECK_FAILED
     if not report.holds:
         sys.stderr.write(f"determinant pattern violated at index {report.violation_index}\n")
-    return _emit(args, "conjecture", results, {}, [report.mode], status)
+    return _emit(args, "conjecture", results, {}, ["exact"], status)
 
 
 def _cmd_roots(args) -> int:
@@ -194,7 +188,7 @@ def _cmd_asympt(args) -> int:
     dist = args.dist_obj
     profile = roots.root_profile(dist, tol=args.tol)
     coeffs = asymptotics.compute_coefficients(dist, profile)
-    table = recurrence.build_table(dist, args.n + 2, mode="exact")
+    table = recurrence.build_table(dist, args.n + 2)
     pattern = asymptotics.verify_sign_monotonicity(table, coeffs)
     ratio = float(Fraction(table.d[args.n]) / Fraction(table.d[args.n - 2]))
     results = {
@@ -295,11 +289,11 @@ def _verify_one(dist: ClaimDistribution, horizon: int) -> dict:
     )
 
     checks: dict = {}
-    conj = recurrence.check_conjecture(dist, horizon, mode="exact")
+    conj = recurrence.check_conjecture(dist, horizon)
     checks["conjecture"] = conj.holds
 
     n_id = 60
-    table = recurrence.build_table(dist, n_id + 2, mode="exact")
+    table = recurrence.build_table(dist, n_id + 2)
     den = pgf_minus_s2_series(dist, n_id)
     # Y = h_0 s/(H - s^2), by series division rather than y_n = h_0 x_{n+1}
     h0_s = PowerSeries.of([Fraction(0), dist.hk(0)] + [Fraction(0)] * (n_id - 1))
@@ -383,13 +377,11 @@ def build_parser() -> _Parser:
     p = subs.add_parser("table", help="x/y/D tables from the recurrences")
     _add_common(p)
     p.add_argument("--n", type=int, default=50)
-    p.add_argument("--mode", choices=("exact", "float"), default="exact")
     p.set_defaults(func=_cmd_table)
 
     p = subs.add_parser("conjecture", help="exact determinant sign/monotonicity check")
     _add_common(p)
     p.add_argument("--n", type=int, default=200)
-    p.add_argument("--mode", choices=("exact", "float"), default="exact")
     p.set_defaults(func=_cmd_conjecture)
 
     p = subs.add_parser("roots", help="interior zeros of H(s) - s^2 and the order at 1")

@@ -27,16 +27,21 @@ bucket that holds no cdf point gives its claim directly; only the few buckets
 split by a cdf point fall back to the binary search.  Either way the claim is
 ``searchsorted(cdf, uniform, "right")``, so the survivors are exactly those of
 stepping every trial with Generator uniforms and a full binary search.
+
+numpy is imported inside the functions that run the oracles, so the exact
+commands never load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .distributions import ClaimDistribution
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,8 @@ def finite_horizon_dp(dist: ClaimDistribution, u: int, cfg: DPConfig) -> DPResul
     cap = cfg.surplus_cap if cfg.surplus_cap is not None else u + 2 * n_steps
     if cap < u + 2:
         raise ValueError("surplus cap must admit at least the first step")
+    import numpy as np
+
     eps = dist.tail_epsilon if cfg.tail_epsilon is None else cfg.tail_epsilon
     # claims beyond cap + 1 ruin every in-cap state; dropping them is exact
     k_top = min(dist.truncation_index(eps), cap + 1)
@@ -132,6 +139,8 @@ def finite_horizon_dp(dist: ClaimDistribution, u: int, cfg: DPConfig) -> DPResul
 
 
 def _claim_cdf(dist: ClaimDistribution, eps: float | None = None) -> np.ndarray:
+    import numpy as np
+
     k_top = dist.truncation_index(eps if eps is not None else dist.tail_epsilon)
     return np.cumsum(
         np.array([float(v) for v in dist.pmf_prefix(k_top)], dtype=np.float64)
@@ -150,6 +159,8 @@ def _guide_table(cdf: np.ndarray) -> np.ndarray:
     ``searchsorted(cdf, b / 2**_GUIDE_BITS, "right")``; only the split
     buckets need the search itself.
     """
+    import numpy as np
+
     edges = np.arange(2**_GUIDE_BITS + 1) * 2.0**-_GUIDE_BITS
     lo = np.searchsorted(cdf, edges, side="right")
     return np.where(lo[:-1] == lo[1:], lo[:-1], -1)
@@ -169,6 +180,8 @@ def _simulate_block(
     Only live trials are stepped: ``trial`` and ``w`` hold the index and the
     surplus of each, compacted after every step that ruins one.
     """
+    import numpy as np
+
     key = np.uint64(cfg.seed)
     trial = np.arange(count)
     w = np.full(count, u, dtype=np.int64)
@@ -201,12 +214,14 @@ def mc_estimate(
 
     Identical (seed, trials, horizon) give bit-identical estimates however
     the trials are chunked; ``trial_chunk`` (a multiple of 4) only bounds the
-    working-set size.
+    working-set size.  The seed is the 64-bit Philox key, 0 <= seed < 2**64.
     """
     if cfg.trials < 1:
         raise ValueError("at least one trial is required")
     if u < 0:
         raise ValueError("initial surplus must be non-negative")
+    if not 0 <= cfg.seed < 2**64:
+        raise ValueError("seed must lie in [0, 2**64)")
     if trial_chunk is not None and (trial_chunk < 4 or trial_chunk % 4):
         raise ValueError("trial_chunk must be a positive multiple of 4")
     cdf = _claim_cdf(dist)

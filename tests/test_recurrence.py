@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ruinkit import (
     ClaimDistribution,
     PowerSeries,
-    TableOverflowError,
     build_table,
     check_conjecture,
     pgf_minus_s2_series,
@@ -111,44 +110,6 @@ def test_conjecture_margins_are_exact():
     # D_0 = 1 and D_1 = -2 pin the level margins exactly
     assert report.even_level_margin == 0
     assert report.odd_level_margin == 1
-
-
-def test_float_conjecture_horizon_refused():
-    with pytest.raises(ValueError, match="exact mode"):
-        check_conjecture(ClaimDistribution.geometric(F(1, 2)), 201, mode="float")
-
-
-def test_float_conjecture_short_horizon_works():
-    report = check_conjecture(ClaimDistribution.geometric(F(1, 2)), 40, mode="float")
-    assert report.holds
-
-
-def test_float_conjecture_detects_cancellation():
-    # around n ~ 75 the float determinants of the golden-ratio law are noise
-    with pytest.raises(ValueError, match="cancellation"):
-        check_conjecture(ClaimDistribution.geometric(F(1, 2)), 150, mode="float")
-
-
-def test_float_mode_tracks_exact():
-    dist = ClaimDistribution.geometric(F(1, 2))
-    exact = build_table(dist, 60)
-    fl = build_table(dist, 60, mode="float")
-    assert fl.scale_log2 == 0
-    for n in (5, 20, 40, 60):
-        want = float(exact.x[n])
-        assert abs(fl.x[n] - want) <= 1e-10 * max(1.0, abs(want))
-
-
-def test_float_mode_overflow_and_scaling():
-    # alpha = 5 for bernoulli(4/5): x_n ~ 5^n overflows the double range
-    dist = ClaimDistribution.bernoulli(F(4, 5))
-    with pytest.raises(TableOverflowError, match="exact mode"):
-        build_table(dist, 500, mode="float")
-    t = build_table(dist, 500, mode="float", scaled=True)
-    assert t.scale_log2 > 0
-    exact = build_table(dist, 160)
-    want = float(exact.x[160])  # 5^160 ~ 1e111 still representable
-    assert abs(t.xf(160) - want) <= 1e-9 * abs(want)
 
 
 def test_build_table_rejects_tiny_horizon():

@@ -132,6 +132,11 @@ def test_refine_alpha_hits_rational_root_exactly():
     assert refine_alpha(ClaimDistribution.bernoulli(F(1, 2)), bits=64) == 2
 
 
+def test_refine_alpha_finds_non_dyadic_rational_root():
+    # the root s = -1/5 of bernoulli(4/5) is never a bisection midpoint
+    assert refine_alpha(ClaimDistribution.bernoulli(F(4, 5))) == 5
+
+
 def test_refine_alpha_bracket_width():
     dist = ClaimDistribution.geometric(F(1, 2))
     a128 = refine_alpha(dist, bits=128)

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ruinkit import (
     ClaimDistribution,
@@ -21,7 +23,7 @@ from ruinkit import (
     xi_series,
 )
 
-from common import survivable_fixtures
+from common import laws, reference_xi, survivable_fixtures
 
 F = Fraction
 
@@ -126,6 +128,20 @@ def test_xi_consistency_with_linear_combination():
             assert abs(xi[u] - phis[u + 1]) < 1e-10
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    dist=laws.filter(lambda d: d.is_primitive() and d.mean() < 2),
+    n_max=st.integers(0, 120),
+    bits=st.integers(192, 1024),
+)
+def test_xi_series_matches_reference_division(dist, n_max, bits):
+    # xi_series reads phi_table; the reference divides by H - s^2 at the
+    # same rational alpha, so the two agree bit for bit
+    xi = xi_series(dist, None, n_max, bits)
+    want = reference_xi(dist, refine_alpha(dist, bits), n_max)
+    assert list(xi.coeffs) == [float(v) for v in want]
+
+
 def test_phi_table_reproduces_initial_values():
     dist = ClaimDistribution.geometric(F(1, 2))
     phi0, phi1 = initial_values_closed_form(dist)
@@ -192,6 +208,19 @@ def test_pi_values_bernoulli():
     assert abs(sol.pi1) < 1e-40
 
 
+def test_solve_pi1_vanishes_at_rational_roots():
+    # alpha = 1 + h_1/h_0 is rational and -1/alpha is no bisection midpoint
+    # (alpha = 5, 3/2, 3/2, 11); refine_alpha returns it exactly, so pi_1
+    # is 0, not a tiny residue of the bracket of either sign
+    for dist in (
+        ClaimDistribution.bernoulli(F(4, 5)),
+        ClaimDistribution.bernoulli(F(1, 3)),
+        ClaimDistribution.tabulated([F(1, 2), F(1, 4), F(1, 4)]),
+        ClaimDistribution.tabulated([F(1, 12), F(5, 6), F(1, 12)]),
+    ):
+        assert solve(dist, u_max=20).pi1 == 0.0, dist.label()
+
+
 def test_pi_values_zero_for_heavy_mean():
     assert pi_values(ClaimDistribution.geometric(F(1, 4))) == (0.0, 0.0)
 
@@ -256,6 +285,17 @@ def test_zero_regimes_all_routes():
 def test_solve_rejects_unknown_route():
     with pytest.raises(ValueError):
         solve(ClaimDistribution.bernoulli(F(1, 2)), route="newton")
+
+
+def test_solve_rejects_negative_u_max():
+    # every regime: survivable, ruinous and even-lattice laws
+    for dist in (
+        ClaimDistribution.geometric(F(1, 2)),
+        ClaimDistribution.geometric(F(1, 4)),
+        ClaimDistribution.tabulated([F(1, 2), 0, F(1, 2)]),
+    ):
+        with pytest.raises(ValueError, match="u_max"):
+            solve(dist, u_max=-1)
 
 
 def test_method_provenance():
