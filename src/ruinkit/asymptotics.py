@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .distributions import ClaimDistribution
-from .recurrence import SequenceTable, _margin_scan
+from .recurrence import SequenceTable, _pattern_scan
 from .roots import RootProfile
 
 #: relative residual floor for "expansion has converged" checks
@@ -204,17 +204,21 @@ class SignMonotonicityReport:
 def verify_sign_monotonicity(
     table: SequenceTable, coeffs: AsymptoticCoefficients | None = None
 ) -> SignMonotonicityReport:
-    """Scan D_n for the sign/monotonicity pattern and report stabilization."""
+    """Scan D_n for the sign/monotonicity pattern and report stabilization.
+
+    The signs come from the integer scan that check_conjecture runs, over the
+    table's law and horizon.
+    """
     strict = table.dist.is_primitive()
     last = (len(table.d) - 1 - 3) // 2
     if last < 0:
         raise ValueError("table horizon too short: need D_0..D_3 at least")
     # pair n holds when the levels at 2n, 2n+1 and the steps from them do;
     # D_0 = 1 for every law, so the level at index 0 is compared non-strictly
-    level, step = _margin_scan(table.d)
+    level, step, _margins = _pattern_scan(table.dist, len(table.d) - 1)
 
-    def fails(margin, strict_here):
-        return margin <= 0 if strict_here else margin < 0
+    def fails(sign, strict_here):
+        return sign <= 0 if strict_here else sign < 0
 
     failures = tuple(
         n for n in range(last + 1)

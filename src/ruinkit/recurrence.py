@@ -19,6 +19,12 @@ y_n and D_n off them (h_0 = q_0/R_0).  The cost is O(n * deg Q)
 big-integer multiply-adds, independent of the (possibly infinite) support,
 plus one gcd per returned entry when it becomes a reduced Fraction.
 
+The pattern check (check_conjecture, and the sign report of asymptotics)
+runs on the integer numerators alone: D_n = M_n / E_n with
+M_n = N_n N_{n+2} - N_{n+1}^2 and E_n = r_0 q_0^(2n+3) > 0, so every
+inequality of the pattern is the sign of an integer, and only the four
+reported margins are reduced to Fractions.
+
 D_n grows like alpha^n while being a difference of alpha^(2n)-sized products,
 so floating arithmetic would lose roughly one digit per unit of
 n*log10(alpha) and soon leave no trustworthy sign.  Tables are therefore
@@ -75,15 +81,9 @@ def build_table(dist: ClaimDistribution, n_max: int, mode: str = EXACT) -> Seque
         raise ValueError("n_max must be at least 2")
     if mode != EXACT:
         raise ValueError(f"unknown scalar mode {mode!r}")
-    p, r = _rational_pgf(dist)
-    q = p + [0] * (len(r) + 2 - len(p))
-    for k, rk in enumerate(r):
-        q[k + 2] -= rk
+    p, r, q = _rational_pgf(dist)
     q0 = q[0]
-    # N_n = q0^(n+1) x_n turns q0 x_n = p_n - sum_k q_k x_{n-k} into
-    # N_n = p_n q0^n - sum_k q_k q0^(k-1) N_{n-k}
-    steps = [(k, q[k] * q0 ** (k - 1)) for k in range(1, len(q)) if q[k]]
-    x = _numerators(p, steps, q0, n_max + 1)
+    x = _numerators(p, q, n_max + 1)
     # with h_0 = q0/r_0: D_n = (N_n N_{n+2} - N_{n+1}^2) / (r_0 q0^(2n+3))
     d: list[Fraction] = []
     den = r[0] * q0**3
@@ -102,25 +102,36 @@ def build_table(dist: ClaimDistribution, n_max: int, mode: str = EXACT) -> Seque
     return SequenceTable(dist=dist, x=x, y=y, d=d)
 
 
-def _rational_pgf(dist: ClaimDistribution) -> tuple[list[int], list[int]]:
-    """Integer coefficient lists (lowest degree first) of P and R, H = P/R."""
+def _rational_pgf(dist: ClaimDistribution) -> tuple[list[int], list[int], list[int]]:
+    """Integer coefficient lists (lowest degree first) of P, R and
+    Q = P - s^2 R, where H = P/R."""
     if dist.kind == "geometric":
         a, b = dist.p.numerator, dist.p.denominator
-        return [a], [b, a - b]
-    h = dist.pmf_prefix(dist.support_bound)
-    lcm = math.lcm(*(v.denominator for v in h))
-    return [v.numerator * (lcm // v.denominator) for v in h], [lcm]
+        p, r = [a], [b, a - b]
+    else:
+        h = dist.pmf_prefix(dist.support_bound)
+        lcm = math.lcm(*(v.denominator for v in h))
+        p, r = [v.numerator * (lcm // v.denominator) for v in h], [lcm]
+    q = p + [0] * (len(r) + 2 - len(p))
+    for k, rk in enumerate(r):
+        q[k + 2] -= rk
+    return p, r, q
 
 
-def _numerators(rhs: list[int], steps: list[tuple[int, int]], q0: int, n_max: int) -> list[int]:
-    """N_0..N_{n_max} of N_n = rhs_n q0^n - sum_k c_k N_{n-k}, for the
-    (k, c_k) pairs of ``steps`` in increasing k."""
+def _numerators(p: list[int], q: list[int], n_max: int) -> list[int]:
+    """N_0..N_{n_max}, N_n = q_0^(n+1) x_n, from Q X = P.
+
+    Scaling q_0 x_n = p_n - sum_k q_k x_{n-k} by q_0^n gives the integer
+    recurrence N_n = p_n q_0^n - sum_k q_k q_0^(k-1) N_{n-k}.
+    """
+    q0 = q[0]
+    steps = [(k, q[k] * q0 ** (k - 1)) for k in range(1, len(q)) if q[k]]
     out: list[int] = []
     scale = 1
     for n in range(n_max + 1):
         acc = 0
-        if n < len(rhs):
-            acc = rhs[n] * scale
+        if n < len(p):
+            acc = p[n] * scale
             scale *= q0
         for k, c in steps:
             if k > n:
@@ -161,30 +172,68 @@ def check_conjecture(dist: ClaimDistribution, n_max: int) -> ConjectureReport:
 
     The determinants are exact, so the verdict is certified.
     """
-    d = build_table(dist, n_max + 1).d  # indices 0..n_max
-    level, step = _margin_scan(d)
-    violations = [n for n, m in enumerate(level) if m < 0]
-    violations += [n + 2 for n, m in enumerate(step) if m < 0]
+    level, step, margins = _pattern_scan(dist, n_max)
+    violations = [n for n, sign in enumerate(level) if sign < 0]
+    violations += [n + 2 for n, sign in enumerate(step) if sign < 0]
     violation = min(violations) if violations else None
     return ConjectureReport(
         dist_label=dist.label(),
         horizon=n_max,
         holds=violation is None,
         violation_index=violation,
-        even_level_margin=min(level[0::2]),
-        odd_level_margin=min(level[1::2], default=Fraction(1)),
-        even_step_margin=min(step[0::2], default=Fraction(1)),
-        odd_step_margin=min(step[1::2], default=Fraction(1)),
+        even_level_margin=margins[0],
+        odd_level_margin=margins[1],
+        even_step_margin=margins[2],
+        odd_step_margin=margins[3],
     )
 
 
-def _margin_scan(d: list) -> tuple[list, list]:
-    """Slack of the determinant pattern at every index of D_0..D_N.
+def _pattern_scan(
+    dist: ClaimDistribution, top: int
+) -> tuple[list[int], list[int], tuple[Fraction, Fraction, Fraction, Fraction]]:
+    """Slack of the determinant pattern at every index of D_0..D_top.
 
-    ``level[n]`` is D_n - 1 for even n and -1 - D_n for odd n; ``step[n]``
-    is D_{n+2} - D_n for even n and D_n - D_{n+2} for odd n, for n <= N - 2.
-    The pattern holds at an index whose margin is >= 0 (> 0 when strict).
+    The level slack at n is D_n - 1 for even n and -1 - D_n for odd n; the
+    step slack at n <= top - 2 is D_{n+2} - D_n for even n and D_n - D_{n+2}
+    for odd n.  The pattern holds at an index whose slack is >= 0 (> 0 when
+    strict).  Returns the signs (-1, 0 or 1) of the level and step slacks,
+    and the tightest even-level, odd-level, even-step and odd-step slack as
+    Fractions (1 for a kind with no index).
+
+    Everything runs on integers: D_n = M_n / E_n with
+    M_n = N_n N_{n+2} - N_{n+1}^2 and E_n = r_0 q_0^(2n+3) > 0, so the
+    level slack at n is (M_n - E_n) / E_n or (-E_n - M_n) / E_n, and the
+    step slack ending at n is +-(M_n - q_0^4 M_{n-2}) / E_n, as
+    E_n = q_0^4 E_{n-2}.  Minima are kept as numerators over the current E_n.
     """
-    level = [v - 1 if n % 2 == 0 else -1 - v for n, v in enumerate(d)]
-    step = [d[n + 2] - d[n] if n % 2 == 0 else d[n] - d[n + 2] for n in range(len(d) - 2)]
-    return level, step
+    m_all, e, q2 = _determinants(dist, top)
+    q4 = q2 * q2
+    level: list[int] = []
+    step: list[int] = []
+    best: list[int | None] = [None] * 4
+    for n, m in enumerate(m_all):
+        odd = n % 2
+        slacks = [(odd, level, -e - m if odd else m - e)]
+        if n >= 2:
+            rise = m - q4 * m_all[n - 2]
+            slacks.append((2 + odd, step, -rise if odd else rise))
+        for kind, signs, v in slacks:
+            signs.append((v > 0) - (v < 0))
+            if best[kind] is None or v < best[kind]:
+                best[kind] = v
+        # move every minimum to the scale E_{n+1} of the next index
+        best = [None if b is None else b * q2 for b in best]
+        e *= q2
+    margins = tuple(Fraction(1) if b is None else Fraction(b, e) for b in best)
+    return level, step, margins
+
+
+def _determinants(dist: ClaimDistribution, top: int) -> tuple[list[int], int, int]:
+    """(M_0..M_top, E_0, q_0^2) with D_n = M_n / (E_0 q_0^(2n)) and E_0 > 0."""
+    if top < 1:
+        raise ValueError("n_max must be at least 1")
+    p, r, q = _rational_pgf(dist)
+    q0 = q[0]
+    big = _numerators(p, q, top + 2)
+    m = [big[n] * big[n + 2] - big[n + 1] ** 2 for n in range(top + 1)]
+    return m, r[0] * q0**3, q0 * q0

@@ -9,8 +9,10 @@ then r = 2 (provided E Z^2 is finite and Z is not degenerate at 2).
 Brackets are guaranteed, so bisection is used throughout: no derivatives,
 unconditional convergence, 200-iteration cap.  The positive zero is located
 on the deflated series G(s) = (H(s) - s^2)/(1 - s) so the zero at s = 1 does
-not interfere.  A coarse grid pre-scan guards against the theoretically
-excluded event of extra interior sign changes.
+not interfere.  On the disk H - s^2 has the sign of the integer polynomial
+Q = P - s^2 R (H = P/R with R > 0 on [-1, 1]), and a Sturm sequence of Q
+counts its distinct interior zeros exactly, which rules out the
+theoretically excluded event of extra interior roots, double ones included.
 
 Roots are irrational in general and are computed in binary64 floating point;
 ``refine_alpha`` additionally offers an exact rational bracket of arbitrary
@@ -25,11 +27,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .distributions import ClaimDistribution
+from .recurrence import _rational_pgf
 from .series import deflate_G
 
 DEFAULT_TOL = 1e-14
 MAX_BISECTION_ITERATIONS = 200
-GRID_STEP = 1e-3
 
 
 class RootLocationError(ValueError):
@@ -136,30 +138,88 @@ def vanishing_order(dist: ClaimDistribution) -> int:
     return 2
 
 
-def interior_sign_changes(dist: ClaimDistribution, step: float = GRID_STEP) -> int:
-    """Count sign changes of H(s) - s^2 on a grid over (-1, 1).
+def interior_sign_changes(dist: ClaimDistribution) -> int:
+    """Count the distinct zeros of H(s) - s^2 in (-1, 1), exactly.
 
-    Exact zeros that land on grid points each count once.  This is a guard
-    against extra interior roots; a too-coarse grid can only undercount.
+    They are the roots of Q = P - s^2 R there; a Sturm count on (-1, 1]
+    finds them plus the root at s = 1 that every law has.
     """
-    n = int(round(2.0 / step)) - 1
-    values = [float(dist.pgf_minus_s2(-1.0 + step * (i + 1))) for i in range(n)]
-    flips = sum(1 for i in range(n - 1) if values[i] * values[i + 1] < 0)
-    exact_hits = sum(1 for v in values if v == 0.0)
-    return flips + exact_hits
+    _p, _r, q = _rational_pgf(dist)
+    return _sturm_count(q) - 1
+
+
+def _sturm_count(poly: list[int]) -> int:
+    """Distinct real roots in (-1, 1] of a nonzero integer polynomial
+    (coefficients lowest degree first), by Sturm's theorem.
+
+    The sequence S_0 = f, S_1 = f', S_{k+1} = -rem(S_{k-1}, S_k) stays in
+    integers: pseudo-division with a positive multiplier and removal of the
+    content scale each term by a positive constant, which keeps its signs.
+    A repeated root is divided out first.  For squarefree f the number V(s)
+    of sign changes along the sequence, zeros skipped, is right-continuous,
+    so V(-1) - V(1) counts the roots in (-1, 1] even where f(1) = 0.
+    """
+    f = _primitive(poly)
+    seq = _sturm_sequence(f)
+    if len(seq[-1]) > 1:  # the last term is gcd(f, f') of positive degree
+        seq = _sturm_sequence(_primitive(_pseudo_divmod(f, seq[-1])[0]))
+    return _variations(seq, -1) - _variations(seq, 1)
+
+
+def _sturm_sequence(f: list[int]) -> list[list[int]]:
+    seq = [f, _primitive([k * c for k, c in enumerate(f)][1:])]
+    while len(seq[-1]) > 1:
+        rem = _primitive(_pseudo_divmod(seq[-2], seq[-1])[1])
+        if not rem:
+            break
+        seq.append([-c for c in rem])
+    return seq
+
+
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) with c*a = quotient*b + remainder, where
+    c = |lead(b)|^(deg a - deg b + 1) > 0 and deg remainder < deg b."""
+    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    quot = [0] * max(0, len(a) - len(b) + 1)
+    rem = list(a)
+    for shift in range(len(a) - len(b), -1, -1):
+        top = sign * rem[-1]
+        quot = [scale * c for c in quot]
+        quot[shift] += top
+        rem = [scale * c for c in rem]
+        for i, c in enumerate(b):
+            rem[shift + i] -= top * c
+        rem.pop()  # the leading coefficient is now zero
+    return quot, rem
+
+
+def _primitive(f: list[int]) -> list[int]:
+    """f without trailing zeros, divided by the gcd of its coefficients."""
+    f = list(f)
+    while f and not f[-1]:
+        f.pop()
+    g = math.gcd(*f)
+    return [c // g for c in f] if g > 1 else f
+
+
+def _variations(seq: list[list[int]], s: int) -> int:
+    """Sign changes along the values of ``seq`` at s, zeros skipped."""
+    signs = [v > 0 for v in (sum(c * s**k for k, c in enumerate(f)) for f in seq) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def root_profile(dist: ClaimDistribution, tol: float = DEFAULT_TOL) -> RootProfile:
-    """Locate all interior zeros plus the order at s = 1, with the grid guard."""
+    """Locate all interior zeros plus the order at s = 1, after checking
+    that the Sturm count of interior zeros is the one the theory predicts."""
     if not dist.is_primitive():
         raise RootLocationError(
             "imprimitive claim law: roots are not used; take the half-process route"
         )
     expected = 2 if dist.mean() > 2 else 1
     found = interior_sign_changes(dist)
-    if found > expected:
+    if found != expected:
         raise RootLocationError(
-            f"anomalous interior sign-change count: expected {expected}, grid found {found}"
+            f"anomalous interior root count: expected {expected}, Sturm count {found}"
         )
     r = vanishing_order(dist)
     f = lambda s: float(dist.pgf_minus_s2(s))

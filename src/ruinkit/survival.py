@@ -52,6 +52,10 @@ ROUTE_XI = "xi"
 ROUTE_ALL = "all"
 
 
+class PiResidualError(ValueError):
+    """Raised when the (pi_0, pi_1) system is not solved to its tolerance."""
+
+
 def regime(dist: ClaimDistribution) -> str:
     """survivable (EZ < 2), critical (EZ = 2, exact), or ruinous (EZ > 2)."""
     mean = dist.mean()
@@ -214,7 +218,8 @@ def pi_values(dist: ClaimDistribution, alpha=None) -> tuple[float, float]:
     arithmetic of ``alpha``, as initial_values_closed_form does (a float
     root found by find_alpha when omitted, exact for a rational bracket of
     alpha), and floated on return.  Both residuals are verified to 1e-12
-    before returning.  The zero solution is returned when E Z >= 2.
+    before returning (PiResidualError otherwise).  The zero solution is
+    returned when E Z >= 2.
     """
     if not dist.is_primitive():
         raise ValueError(
@@ -236,7 +241,7 @@ def pi_values(dist: ClaimDistribution, alpha=None) -> tuple[float, float]:
     res1 = abs((2.0 * h0 + h1) * pi0 + h0 * pi1 - rate)
     res2 = abs(pi0 * (h0 + h1 - h0 * alpha) + pi1 * h0)
     if max(res1, res2) > 1e-12:
-        raise RuntimeError(
+        raise PiResidualError(
             f"pi system residuals too large: {res1:.3e}, {res2:.3e}; "
             "refine the root tolerance"
         )

@@ -206,6 +206,37 @@ def test_malformed_spec_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+def test_documented_errors_exit_one_with_one_line(capsys, monkeypatch):
+    from ruinkit import roots, survival
+    from ruinkit.roots import MomentConditionError
+
+    def one_line_error(argv, start):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        assert captured.out == ""
+        assert captured.err.startswith(start) and captured.err.count("\n") == 1, captured.err
+
+    for spec in ("pmf:1/2,1/3", "bernoulli(3/2)", "pmf:1/2,x", "poisson(1)"):
+        one_line_error(["roots", "--dist", spec], "error: ")
+    one_line_error(["roots", "--dist", "even:1/2,1/2"], "error: imprimitive claim law")
+
+    def no_fourth_moment(dist):
+        raise MomentConditionError("E Z = 2 requires a finite fourth moment")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(roots, "vanishing_order", no_fourth_moment)
+        one_line_error(["roots", "--dist", "geometric(1/3)"], "error: E Z = 2")
+
+    # a wrong phi(1) leaves the pi system unsolved, which its residual check sees
+    closed_form = survival.initial_values_closed_form
+    monkeypatch.setattr(
+        survival, "initial_values_closed_form",
+        lambda dist, alpha=None: tuple(2 * v for v in closed_form(dist, alpha)),
+    )
+    one_line_error(["solve", "--dist", "geometric(1/2)", "--u-max", "4"], "error: pi system residuals")
+
+
 def test_usage_error_exits_one(capsys):
     assert cli.main(["frobnicate"]) == 1
     assert cli.main(["table"]) == 1  # missing --dist

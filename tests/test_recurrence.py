@@ -16,6 +16,7 @@ from ruinkit import (
     series_divide,
     verify_sign_monotonicity,
 )
+from ruinkit import recurrence
 
 from common import all_fixtures, bernoulli_fixtures, laws, naive_chain, reference_table
 
@@ -132,6 +133,14 @@ def test_exact_table_matches_reference_recurrence(dist, n_max):
 
 @settings(max_examples=60, deadline=None)
 @given(dist=laws, n=st.integers(3, 150))
+@example(dist=ClaimDistribution.geometric(F(2, 7)), n=400)
+@example(dist=ClaimDistribution.even_lattice([F(2, 7), 0, 0, F(4, 7), F(1, 7)]), n=400)
+@example(
+    dist=ClaimDistribution.tabulated(
+        [F(11, 24), F(1, 24), F(5, 24), F(1, 8), F(1, 24), F(1, 24), F(1, 12)]
+    ),
+    n=400,
+)
 def test_pattern_scan_matches_naive_chain(dist, n):
     d = reference_table(dist, n + 1)[2]  # D_0..D_n
     violation, margins, failures = naive_chain(d, strict=dist.is_primitive())
@@ -151,3 +160,46 @@ def test_pattern_scan_matches_naive_chain(dist, n):
     assert pattern.n0 == max(failures, default=0)
     # stabilized: no failing pair in the last quarter, from pair 3*pairs//4 on
     assert pattern.stabilized == all(f < 3 * pairs // 4 for f in failures)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        ClaimDistribution.geometric(F(2, 7)),
+        ClaimDistribution.tabulated([F(2, 5), F(1, 5), F(1, 5), F(1, 5)]),
+        ClaimDistribution.even_lattice([F(1, 3), F(1, 3), F(1, 3)]),
+    ],
+    ids=str,
+)
+def test_pattern_scan_reports_corrupted_determinants(dist, monkeypatch):
+    # D_10 is pushed just below D_8 (an even step violation) and D_23 turns
+    # positive (an odd level violation and two odd step violations)
+    n = 40
+    real = recurrence._determinants
+
+    def corrupted(law, top):
+        m, e0, q2 = real(law, top)
+        m = list(m)
+        m[10] = q2 * q2 * m[8] - 1
+        m[23] = -m[23]
+        return m, e0, q2
+
+    m, e0, q2 = real(dist, n)
+    assert [F(v, e0 * q2**k) for k, v in enumerate(m)] == build_table(dist, n + 1).d
+    monkeypatch.setattr(recurrence, "_determinants", corrupted)
+    m, e0, q2 = corrupted(dist, n)
+    d = [F(v, e0 * q2**k) for k, v in enumerate(m)]
+    violation, margins, failures = naive_chain(d, strict=dist.is_primitive())
+    assert violation == 10 and min(margins) < 0
+    report = check_conjecture(dist, n)
+    assert not report.holds
+    assert report.violation_index == violation
+    assert (
+        report.even_level_margin,
+        report.odd_level_margin,
+        report.even_step_margin,
+        report.odd_step_margin,
+    ) == margins
+    pattern = verify_sign_monotonicity(build_table(dist, n + 1))
+    assert pattern.failures == tuple(failures)
+    assert {4, 11} <= set(failures)

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from ruinkit import (
     ClaimDistribution,
@@ -14,9 +15,10 @@ from ruinkit import (
     root_profile,
     vanishing_order,
 )
-from ruinkit.roots import alpha_residual, beta_residual, interior_sign_changes
+from ruinkit import roots
+from ruinkit.roots import _sturm_count, alpha_residual, beta_residual, interior_sign_changes
 
-from common import bernoulli_fixtures, geometric_fixtures, primitive_fixtures
+from common import bernoulli_fixtures, geometric_fixtures, laws, primitive_fixtures
 
 F = Fraction
 
@@ -112,6 +114,52 @@ def test_grid_scan_counts():
     assert interior_sign_changes(ClaimDistribution.geometric(F(1, 4))) == 2
     # exact grid hit: H(s) - s^2 vanishes at s = -1/2 for bernoulli(1/2)
     assert interior_sign_changes(ClaimDistribution.bernoulli(F(1, 2))) == 1
+
+
+def _product(*factors):
+    """Coefficients (lowest degree first) of a product of polynomials."""
+    poly = [1]
+    for factor in factors:
+        poly = [
+            sum(a * factor[k - i] for i, a in enumerate(poly) if 0 <= k - i < len(factor))
+            for k in range(len(poly) + len(factor) - 1)
+        ]
+    return poly
+
+
+def test_sturm_count_crafted_polynomials():
+    # coefficients lowest degree first; roots are counted on (-1, 1]
+    double = [1, 4, 4]  # (2s + 1)^2: no sign change for a grid to see
+    assert _sturm_count(double) == 1
+    assert _sturm_count([-c for c in double] + [0]) == 1  # trailing zero, negated
+    three = [0, -1, 0, 4]  # s(2s - 1)(2s + 1)
+    assert _sturm_count(three) == 3
+    # (s - 1)^2 (2s + 1)^2 s (2s - 1)(2s + 1): s = 1 counts once, and so
+    # does each repeated interior root
+    assert _sturm_count(_product([-1, 1], [-1, 1], [1, 2], [1, 2], three)) == 4
+    # endpoints: s = -1 is excluded, s = 1 included; roots outside do not count
+    assert _sturm_count([1, 1]) == 0
+    assert _sturm_count([-1, 1]) == 1
+    assert _sturm_count([-3, 0, 1]) == 0
+    assert _sturm_count([7]) == 0
+    # a repeated root at an endpoint beside other roots, as at s = 1 when
+    # E Z = 2: only the squarefree part gives the right count there
+    assert _sturm_count(_product([1, 1], [1, 1], [-1, 2])) == 1  # (s + 1)^2 (2s - 1)
+    assert _sturm_count(_product([-1, 1], [-1, 1], [-2, 1])) == 1  # (s - 1)^2 (s - 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dist=laws.filter(lambda d: d.is_primitive()))
+def test_sturm_count_matches_theory(dist):
+    # alpha always, beta exactly when E Z > 2; s = 1 lies outside (-1, 1)
+    assert interior_sign_changes(dist) == 1 + (dist.mean() > 2)
+
+
+@pytest.mark.parametrize("count", [0, 3])
+def test_root_profile_rejects_unexpected_root_count(monkeypatch, count):
+    monkeypatch.setattr(roots, "interior_sign_changes", lambda dist: count)
+    with pytest.raises(RootLocationError, match="interior root count"):
+        root_profile(ClaimDistribution.geometric(F(1, 2)))
 
 
 def test_profile_fields():
