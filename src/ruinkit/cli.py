@@ -168,7 +168,7 @@ def _cmd_conjecture(args) -> int:
 
 
 def _cmd_roots(args) -> int:
-    profile = roots.root_profile(args.dist_obj, tol=args.tol)
+    profile = roots.root_profile(args.dist_obj)
     residuals = {"alpha": roots.alpha_residual(args.dist_obj, profile.alpha)}
     if profile.beta is not None:
         residuals["beta"] = roots.beta_residual(args.dist_obj, profile.beta)
@@ -179,14 +179,14 @@ def _cmd_roots(args) -> int:
         "residuals": residuals,
         "bracket_width_achieved": profile.bracket_width_achieved,
     }
-    return _emit(args, "roots", results, {"tol": args.tol}, ["float"], EXIT_OK)
+    return _emit(args, "roots", results, {}, ["float"], EXIT_OK)
 
 
 def _cmd_asympt(args) -> int:
     if args.n < 4:
         raise ValueError("--n must be at least 4 for the ratio estimate")
     dist = args.dist_obj
-    profile = roots.root_profile(dist, tol=args.tol)
+    profile = roots.root_profile(dist)
     coeffs = asymptotics.compute_coefficients(dist, profile)
     table = recurrence.build_table(dist, args.n + 2)
     pattern = asymptotics.verify_sign_monotonicity(table, coeffs)
@@ -386,13 +386,11 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("roots", help="interior zeros of H(s) - s^2 and the order at 1")
     _add_common(p)
-    p.add_argument("--tol", type=float, default=1e-14)
     p.set_defaults(func=_cmd_roots)
 
     p = subs.add_parser("asympt", help="expansion coefficients and growth checks")
     _add_common(p)
     p.add_argument("--n", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-14)
     p.set_defaults(func=_cmd_asympt)
 
     p = subs.add_parser("solve", help="survival probabilities by the three routes")

@@ -218,6 +218,8 @@ def mc_estimate(
     """
     if cfg.trials < 1:
         raise ValueError("at least one trial is required")
+    if cfg.horizon < 1:
+        raise ValueError("horizon must be at least 1")
     if u < 0:
         raise ValueError("initial surplus must be non-negative")
     if not 0 <= cfg.seed < 2**64:

@@ -4,20 +4,24 @@ For a primitive claim law the function H(s) - s^2 has exactly one simple
 negative zero -1/alpha in (-1, 0) (bracketed by H(0) - 0 = h_0 > 0 and
 H(-1) - 1 < 0), one simple positive zero 1/beta in (0, 1) present precisely
 when E Z > 2, and a zero at s = 1 of order r, where r = 1 unless E Z = 2 and
-then r = 2 (provided E Z^2 is finite and Z is not degenerate at 2).
+then r = 2 (Z is not degenerate at 2).
 
-Brackets are guaranteed, so bisection is used throughout: no derivatives,
-unconditional convergence, 200-iteration cap.  The positive zero is located
-on the deflated series G(s) = (H(s) - s^2)/(1 - s) so the zero at s = 1 does
-not interfere.  On the disk H - s^2 has the sign of the integer polynomial
-Q = P - s^2 R (H = P/R with R > 0 on [-1, 1]), and a Sturm sequence of Q
-counts its distinct interior zeros exactly, which rules out the
-theoretically excluded event of extra interior roots, double ones included.
+Everything is read off the integer polynomial Q = P - s^2 R, where H = P/R
+and R > 0 on [-1, 1], so that Q has the sign of H - s^2 on the disk:
 
-Roots are irrational in general and are computed in binary64 floating point;
-``refine_alpha`` additionally offers an exact rational bracket of arbitrary
-width (pure Fraction bisection), which downstream series evaluations use to
-keep the single irrational from amplifying through exact recurrences.
+* a Sturm sequence of Q counts its distinct interior zeros exactly, which
+  rules out the theoretically excluded event of extra interior roots,
+  double ones included;
+* both interior zeros come from one exact bisection on the dyadic points
+  m/2^k, whose signs are those of the integers Q(m/2^k)·2^(k·deg Q);
+  Q(-1) < 0 < Q(0) brackets -1/alpha, and Q(0) > 0 with the single zero
+  in (0, 1) brackets 1/beta;
+* r is the multiplicity of s = 1 as a root of Q.
+
+``refine_alpha`` returns the rational midpoint of a bracket of any width
+(or a rational root exactly), which downstream series evaluations use to
+keep the single irrational from amplifying through exact recurrences; the
+float roots are those of 64-bit brackets, rounded once.
 """
 
 from __future__ import annotations
@@ -25,13 +29,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .distributions import ClaimDistribution
 from .recurrence import _rational_pgf
-from .series import deflate_G
 
-DEFAULT_TOL = 1e-14
-MAX_BISECTION_ITERATIONS = 200
+#: halvings behind the float roots: a bracket of width 2**-64 in s pins
+#: alpha and beta far below binary64 resolution before their one rounding
+_FLOAT_BITS = 64
 
 
 class RootLocationError(ValueError):
@@ -45,7 +50,8 @@ class MomentConditionError(ValueError):
 @dataclass(frozen=True)
 class RootProfile:
     """alpha > 1, optional beta (1 < beta < alpha, iff E Z > 2), and the
-    vanishing order r at s = 1, plus the achieved bisection bracket width."""
+    vanishing order r at s = 1, plus the width of the widest exact bracket
+    behind alpha and beta (0 when both are hit exactly)."""
 
     alpha: float
     beta: float | None
@@ -54,88 +60,94 @@ class RootProfile:
     dist: ClaimDistribution
 
 
-def _bisect(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Bisection for f(lo) > 0 > f(hi) or f(lo) < 0 < f(hi); returns (root, width)."""
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo, 0.0
-    if fhi == 0.0:
-        return hi, 0.0
-    if (flo > 0) == (fhi > 0):
-        raise RootLocationError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(MAX_BISECTION_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid, 0.0
-        if (fm > 0) == (flo > 0):
+def _q(dist: ClaimDistribution) -> list[int]:
+    """Coefficients of Q (lowest degree first) for a primitive law.
+
+    On the even lattice H(s) - s^2 = H1(s^2) - s^2 need not change sign on
+    (-1, 0), so no negative root is guaranteed.
+    """
+    if not dist.is_primitive():
+        raise RootLocationError(
+            "imprimitive claim law: roots are not used; take the half-process route"
+        )
+    return _rational_pgf(dist)[2]
+
+
+def _value(q: list[int], num: int, den: int) -> int:
+    """Q(num/den)·den^(deg Q), by homogeneous Horner in integers; for
+    den > 0 it has the sign of Q(num/den)."""
+    acc, scale = q[-1], 1
+    for c in reversed(q[:-1]):
+        scale *= den
+        acc = acc * num + c * scale
+    return acc
+
+
+def _bisect(q: list[int], lo: int, hi: int, steps: int) -> tuple[Fraction, Fraction]:
+    """Halve [lo, hi] (integers, Q(lo) != 0, one sign change of Q inside)
+    ``steps`` times and return the final bracket, or (mid, mid) at a
+    midpoint that is an exact root.
+
+    After k halvings the bracket is [lo, hi]/2^k with integer ends, and its
+    midpoint (lo + hi)/2^(k+1) is signed by ``_value`` exactly.
+    """
+    positive_lo = _value(q, lo, 1) > 0
+    for k in range(1, steps + 1):
+        mid = lo + hi
+        lo, hi = 2 * lo, 2 * hi
+        v = _value(q, mid, 1 << k)
+        if not v:
+            return Fraction(mid, 1 << k), Fraction(mid, 1 << k)
+        if (v > 0) == positive_lo:
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol * max(1.0, abs(mid)):
-            break
-    return 0.5 * (lo + hi), hi - lo
+    return Fraction(lo, 1 << steps), Fraction(hi, 1 << steps)
 
 
-def find_alpha(dist: ClaimDistribution, tol: float = DEFAULT_TOL) -> float:
-    """alpha > 1 with H(-1/alpha) = 1/alpha^2, from bisection on [-1, 0].
+def _negative_zero(q: list[int], bits: int) -> tuple[Fraction, Fraction]:
+    """(s, width): s = -1/alpha exactly with width 0 when that root is hit,
+    else the midpoint of its bracket of width 2**-bits.
 
-    Requires a primitive law: on the even lattice H(s) - s^2 = H1(s^2) - s^2
-    need not change sign on (-1, 0) and the negative root is not guaranteed.
+    A rational root whose denominator is at most 2**(bits//2 - 1) is hit:
+    two such fractions lie at least 2**(2 - bits) apart, so the nearest one
+    to the midpoint is the only one the bracket can hold.
     """
-    if not dist.is_primitive():
-        raise RootLocationError(
-            "imprimitive claim law: no interior negative root is guaranteed; "
-            "use the half-process route"
-        )
-    f = lambda s: float(dist.pgf_minus_s2(s))
-    root, _width = _bisect(f, -1.0, 0.0, tol)
-    return -1.0 / root
+    lo, hi = _bisect(q, -1, 0, bits)
+    mid = (lo + hi) / 2
+    near = mid.limit_denominator(2 ** max(0, bits // 2 - 1))
+    if lo < near < hi and _value(q, near.numerator, near.denominator) == 0:
+        return near, Fraction(0)
+    return mid, hi - lo
 
 
-def find_beta(dist: ClaimDistribution, tol: float = DEFAULT_TOL) -> float | None:
-    """beta with H(1/beta) = 1/beta^2 and 1 < beta < alpha, or None.
-
-    Present exactly when E Z > 2; located as the zero of the deflated series
-    G on (0, 1), whose endpoint signs G(0) = h_0 > 0 and G(1) = 2 - E Z < 0
-    bracket it.
-    """
-    beta, _width = _find_beta_with_width(dist, tol)
-    return beta
+def find_alpha(dist: ClaimDistribution) -> float:
+    """alpha > 1 with H(-1/alpha) = 1/alpha^2: refine_alpha at 64 bits,
+    rounded once.  Requires a primitive law."""
+    return float(refine_alpha(dist, _FLOAT_BITS))
 
 
-def _find_beta_with_width(dist: ClaimDistribution, tol: float) -> tuple[float | None, float]:
-    if not dist.is_primitive():
-        raise RootLocationError(
-            "imprimitive claim law: use the half-process route"
-        )
-    if dist.mean() <= 2:
-        return None, 0.0
-    g = deflate_G(dist, dist.truncation_index() + 2, mode="float")
-    root, width = _bisect(g.eval, 0.0, 1.0, tol)
-    return 1.0 / root, width
+def find_beta(dist: ClaimDistribution) -> float | None:
+    """beta with H(1/beta) = 1/beta^2 and 1 < beta < alpha, present exactly
+    when E Z > 2, else None (see root_profile)."""
+    return root_profile(dist).beta
 
 
 def vanishing_order(dist: ClaimDistribution) -> int:
     """Order r of the zero of H(s) - s^2 at s = 1: 1 if E Z != 2, else 2.
 
-    The r = 2 branch additionally needs H''(1) finite and different from 2
-    (the latter would force the excluded degenerate law Z = 2).
+    r is the multiplicity of s = 1 as a root of Q.  When Q(1) = 0, dividing
+    by s - 1 leaves minus the partial sums: Q = (s - 1) sum_i -(q_0 + ... +
+    q_i) s^i.  A third factor would force the excluded degenerate law Z = 2.
     """
-    report = dist.pgf_derivatives_at_one(2)
-    if report.mean != 2:
-        return 1
-    d2 = report.derivative(2)
-    if d2 == math.inf:
-        raise MomentConditionError(
-            "asymptotic branch undefined: E Z = 2 requires a finite fourth moment"
-        )
-    if d2 == 2:
-        raise RootLocationError("degenerate law at the income rate; excluded at construction")
-    return 2
+    q = _rational_pgf(dist)[2]
+    r = 0
+    while sum(q) == 0:
+        r += 1
+        if r > 2:
+            raise RootLocationError("degenerate law at the income rate; excluded at construction")
+        q = [-c for c in accumulate(q[:-1])]
+    return r
 
 
 def interior_sign_changes(dist: ClaimDistribution) -> int:
@@ -208,27 +220,25 @@ def _variations(seq: list[list[int]], s: int) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def root_profile(dist: ClaimDistribution, tol: float = DEFAULT_TOL) -> RootProfile:
+def root_profile(dist: ClaimDistribution) -> RootProfile:
     """Locate all interior zeros plus the order at s = 1, after checking
     that the Sturm count of interior zeros is the one the theory predicts."""
-    if not dist.is_primitive():
-        raise RootLocationError(
-            "imprimitive claim law: roots are not used; take the half-process route"
-        )
+    q = _q(dist)
     expected = 2 if dist.mean() > 2 else 1
     found = interior_sign_changes(dist)
     if found != expected:
         raise RootLocationError(
             f"anomalous interior root count: expected {expected}, Sturm count {found}"
         )
-    r = vanishing_order(dist)
-    f = lambda s: float(dist.pgf_minus_s2(s))
-    neg_root, width_a = _bisect(f, -1.0, 0.0, tol)
-    alpha = -1.0 / neg_root
-    beta, width_b = _find_beta_with_width(dist, tol)
+    s, width = _negative_zero(q, _FLOAT_BITS)
+    beta = None
+    if expected == 2:
+        # Q(0) = p_0 > 0, and the count leaves one sign change in (0, 1)
+        lo, hi = _bisect(q, 0, 1, _FLOAT_BITS)
+        beta, width = float(2 / (lo + hi)), max(width, hi - lo)
     return RootProfile(
-        alpha=alpha, beta=beta, r=r,
-        bracket_width_achieved=max(width_a, width_b), dist=dist,
+        alpha=float(-1 / s), beta=beta, r=vanishing_order(dist),
+        bracket_width_achieved=float(width), dist=dist,
     )
 
 
@@ -247,33 +257,12 @@ def beta_residual(dist: ClaimDistribution, beta: float) -> float:
 def refine_alpha(dist: ClaimDistribution, bits: int = 256) -> Fraction:
     """Rational alpha with the defining bracket narrowed to width 2**-bits.
 
-    Pure Fraction bisection of H(s) - s^2 on [-1, 0]: every sign evaluation
-    is exact, so the returned rational brackets the true alpha to the stated
-    width.  Series reconstructions of survival probabilities combine terms of
-    size alpha^n that cancel to O(1); carrying alpha as a rational of width
-    2**-bits keeps that cancellation exact up to n ~ bits/log2(alpha).
-
-    A rational root whose denominator is at most 2**(bits//2 - 1) is
-    returned exactly: two such fractions lie at least 2**(2 - bits) apart,
-    so the nearest one to the midpoint is the only one the bracket can hold.
+    Exact integer bisection of Q on [-1, 0]: every sign is exact, so the
+    returned rational brackets the true alpha to the stated width, and a
+    rational root of small denominator is returned exactly (see
+    ``_negative_zero``).  Series reconstructions of survival probabilities
+    combine terms of size alpha^n that cancel to O(1); carrying alpha as a
+    rational of width 2**-bits keeps that cancellation exact up to
+    n ~ bits/log2(alpha).
     """
-    if not dist.is_primitive():
-        raise RootLocationError("imprimitive claim law has no negative interior root")
-    lo, hi = Fraction(-1), Fraction(0)
-    flo = dist.pgf_minus_s2(lo)
-    if flo == 0:
-        raise RootLocationError("sign evaluation failed at s = -1")
-    for _ in range(bits):
-        mid = (lo + hi) / 2
-        fm = dist.pgf_minus_s2(mid)
-        if fm == 0:
-            return -1 / mid  # rational root hit exactly
-        if (fm > 0) == (flo > 0):
-            lo = mid
-        else:
-            hi = mid
-    mid = (lo + hi) / 2
-    near = mid.limit_denominator(2 ** max(0, bits // 2 - 1))
-    if lo < near < hi and dist.pgf_minus_s2(near) == 0:
-        return -1 / near
-    return -1 / mid
+    return -1 / _negative_zero(_q(dist), bits)[0]

@@ -55,9 +55,6 @@ class PowerSeries:
             raise SeriesError(f"cannot extend a series of order {self.order} to {n_max}")
         return PowerSeries(self.coeffs[: n_max + 1], self.mode)
 
-    def to_float(self) -> "PowerSeries":
-        return PowerSeries(tuple(float(c) for c in self.coeffs), FLOAT)
-
     def mul(self, other: "PowerSeries") -> "PowerSeries":
         """Cauchy product truncated at the shorter operand order."""
         n = min(self.order, other.order)
@@ -103,30 +100,26 @@ def series_divide(numerator: PowerSeries, denominator: PowerSeries, n_max: int) 
     return PowerSeries.of(quot)
 
 
-def pgf_series(dist: ClaimDistribution, n_max: int, mode: str = EXACT) -> PowerSeries:
+def pgf_series(dist: ClaimDistribution, n_max: int) -> PowerSeries:
     """H(s) as a truncated series: the pmf prefix itself."""
-    coeffs = dist.pmf_prefix(n_max)
-    ps = PowerSeries.of(coeffs, EXACT)
-    return ps.to_float() if mode == FLOAT else ps
+    return PowerSeries.of(dist.pmf_prefix(n_max), EXACT)
 
 
-def pgf_minus_s2_series(dist: ClaimDistribution, n_max: int, mode: str = EXACT) -> PowerSeries:
+def pgf_minus_s2_series(dist: ClaimDistribution, n_max: int) -> PowerSeries:
     """H(s) - s^2 as a truncated series (the recurring denominator)."""
     coeffs = dist.pmf_prefix(n_max)
     if n_max >= 2:
         coeffs[2] = coeffs[2] - 1
-    ps = PowerSeries.of(coeffs, EXACT)
-    return ps.to_float() if mode == FLOAT else ps
+    return PowerSeries.of(coeffs, EXACT)
 
 
-def deflate_G(dist: ClaimDistribution, n_max: int, mode: str = EXACT) -> PowerSeries:
+def deflate_G(dist: ClaimDistribution, n_max: int) -> PowerSeries:
     """Coefficients of G(s) = (H(s) - s^2)/(1 - s) through order n_max.
 
     Dividing out the root at s = 1 gives cumulative-sum coefficients:
     g_n = h_0 + ... + h_n for n < 2 and g_n = -1 + (h_0 + ... + h_n) for
     n >= 2, so g_n >= 0 ahead of the income index and g_n <= 0 after it.
-    G(1) = 2 - H'(1), which fixes the sign needed for bracketing the
-    interior positive zero when E Z > 2.
+    G(1) = 2 - H'(1).
     """
     prefix = dist.pmf_prefix(n_max)
     out = []
@@ -134,8 +127,7 @@ def deflate_G(dist: ClaimDistribution, n_max: int, mode: str = EXACT) -> PowerSe
     for n, h in enumerate(prefix):
         acc += h
         out.append(acc if n < 2 else acc - 1)
-    ps = PowerSeries.of(out, EXACT)
-    return ps.to_float() if mode == FLOAT else ps
+    return PowerSeries.of(out, EXACT)
 
 
 def one_minus_s(n_max: int) -> PowerSeries:

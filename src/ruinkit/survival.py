@@ -39,7 +39,7 @@ from fractions import Fraction
 from ._scalars import FLOAT
 from .distributions import ClaimDistribution
 from .recurrence import SequenceTable, build_table
-from .roots import DEFAULT_TOL, RootProfile, find_alpha, refine_alpha, root_profile
+from .roots import RootProfile, find_alpha, refine_alpha, root_profile
 from .series import PowerSeries
 
 SURVIVABLE = "survivable"
@@ -268,7 +268,6 @@ def solve(
     u_max: int = 100,
     route: str = ROUTE_CLOSED,
     n_limit: int = 60,
-    tol: float = DEFAULT_TOL,
 ) -> SurvivalSolution:
     """Produce the survival solution, running the requested verification routes.
 
@@ -303,7 +302,7 @@ def solve(
         if primitive:
             xi = PowerSeries.of(table, FLOAT)
     elif primitive:
-        profile = root_profile(dist, tol)
+        profile = root_profile(dist)
         bits = _alpha_bits(profile.alpha, max(u_max, 8))
         alpha_rat = refine_alpha(dist, bits)
         p0_rat, p1_rat = initial_values_closed_form(dist, alpha_rat)

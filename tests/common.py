@@ -116,6 +116,29 @@ def reference_xi(dist, alpha_rat, n_max):
     return [c * u[0]] + [c * (u[k] + alpha_rat * u[k - 1]) for k in range(1, n_max + 1)]
 
 
+def reference_refine_alpha(dist, bits):
+    """alpha by Fraction bisection of H(s) - s^2 on [-1, 0], one exact p.g.f.
+    evaluation per halving: -1/mid at a midpoint root, else the nearest
+    fraction of denominator <= 2**(bits//2 - 1) when it is a root inside
+    the final bracket, else -1/midpoint of that bracket."""
+    lo, hi = Fraction(-1), Fraction(0)
+    negative_lo = dist.pgf_minus_s2(lo) < 0
+    for _ in range(bits):
+        mid = (lo + hi) / 2
+        fm = dist.pgf_minus_s2(mid)
+        if fm == 0:
+            return -1 / mid
+        if (fm < 0) == negative_lo:
+            lo = mid
+        else:
+            hi = mid
+    mid = (lo + hi) / 2
+    near = mid.limit_denominator(2 ** max(0, bits // 2 - 1))
+    if lo < near < hi and dist.pgf_minus_s2(near) == 0:
+        return -1 / near
+    return -1 / mid
+
+
 def reference_survivors(u, cfg, start, count, cdf):
     """Survivors among trials [start, start + count) of a Monte Carlo run,
     stepping every trial: a Generator on the step's Philox counter plane

@@ -104,7 +104,7 @@ def test_criterion_03_conjecture_suite_exact():
 def test_criterion_04_root_residuals():
     with _criterion(4, "root residuals < 1e-12; alpha goldens to 1e-12"):
         for dist in primitive_fixtures():
-            alpha = find_alpha(dist, tol=1e-14)
+            alpha = find_alpha(dist)
             s = -1.0 / alpha
             assert abs(float(dist.pgf(s)) - s * s) < 1e-12, dist.label()
         for dist in bernoulli_fixtures():

@@ -62,7 +62,7 @@ def test_conjecture_violation_exits_two(capsys, monkeypatch):
 
 
 def test_roots_report(capsys):
-    code, out = run(capsys, ["roots", "--dist", "geometric(1/4)", "--tol", "1e-14"])
+    code, out = run(capsys, ["roots", "--dist", "geometric(1/4)"])
     assert code == 0
     results = json.loads(out)["results"]
     assert abs(float(results["alpha"]) - 2.302775637731995) < 1e-12
@@ -220,6 +220,7 @@ def test_documented_errors_exit_one_with_one_line(capsys, monkeypatch):
     for spec in ("pmf:1/2,1/3", "bernoulli(3/2)", "pmf:1/2,x", "poisson(1)"):
         one_line_error(["roots", "--dist", spec], "error: ")
     one_line_error(["roots", "--dist", "even:1/2,1/2"], "error: imprimitive claim law")
+    one_line_error(["simulate", "--dist", "geometric(1/2)", "--horizon", "0"], "error: horizon")
 
     def no_fourth_moment(dist):
         raise MomentConditionError("E Z = 2 requires a finite fourth moment")

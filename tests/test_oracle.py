@@ -98,6 +98,8 @@ def test_dp_validates_inputs():
         finite_horizon_dp(dist, -1, DPConfig(horizon=5))
     with pytest.raises(ValueError):
         finite_horizon_dp(dist, 0, DPConfig(horizon=0))
+    with pytest.raises(ValueError, match="horizon"):
+        mc_estimate(dist, 0, MCConfig(trials=4, horizon=0))
 
 
 def test_mc_bernoulli_deterministic():

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from ruinkit import (
     ClaimDistribution,
@@ -18,7 +18,13 @@ from ruinkit import (
 from ruinkit import roots
 from ruinkit.roots import _sturm_count, alpha_residual, beta_residual, interior_sign_changes
 
-from common import bernoulli_fixtures, geometric_fixtures, laws, primitive_fixtures
+from common import (
+    bernoulli_fixtures,
+    geometric_fixtures,
+    laws,
+    primitive_fixtures,
+    reference_refine_alpha,
+)
 
 F = Fraction
 
@@ -44,7 +50,7 @@ def test_golden_ratio_alpha():
 
 def test_alpha_residuals():
     for dist in primitive_fixtures():
-        alpha = find_alpha(dist, tol=1e-14)
+        alpha = find_alpha(dist)
         assert alpha > 1
         assert alpha_residual(dist, alpha) < 1e-13
 
@@ -153,6 +159,10 @@ def test_sturm_count_crafted_polynomials():
 def test_sturm_count_matches_theory(dist):
     # alpha always, beta exactly when E Z > 2; s = 1 lies outside (-1, 1)
     assert interior_sign_changes(dist) == 1 + (dist.mean() > 2)
+    assert vanishing_order(dist) == 1 + (dist.mean() == 2)
+    assert (find_beta(dist) is None) == (dist.mean() <= 2)
+    alpha, fine = find_alpha(dist), float(refine_alpha(dist, 256))
+    assert fine in (math.nextafter(alpha, 0), alpha, math.nextafter(alpha, math.inf))
 
 
 @pytest.mark.parametrize("count", [0, 3])
@@ -183,6 +193,18 @@ def test_refine_alpha_hits_rational_root_exactly():
 def test_refine_alpha_finds_non_dyadic_rational_root():
     # the root s = -1/5 of bernoulli(4/5) is never a bisection midpoint
     assert refine_alpha(ClaimDistribution.bernoulli(F(4, 5))) == 5
+
+
+@settings(max_examples=20, deadline=None)
+@given(dist=laws.filter(lambda d: d.is_primitive()))
+@example(dist=ClaimDistribution.bernoulli(F(4, 5)))  # rational roots
+@example(dist=ClaimDistribution.tabulated([F(1, 12), F(5, 6), F(1, 12)]))
+@example(dist=ClaimDistribution.tabulated([F(1, 2), F(1, 4), F(1, 4)]))
+@example(dist=ClaimDistribution.geometric(F(2, 7)))
+def test_refine_alpha_matches_fraction_bisection(dist):
+    # the integer bisection visits the same midpoints and signs
+    for bits in (64, 192, 1000):
+        assert refine_alpha(dist, bits) == reference_refine_alpha(dist, bits)
 
 
 def test_refine_alpha_bracket_width():

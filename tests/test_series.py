@@ -106,4 +106,3 @@ def test_cut_cannot_extend():
 def test_modes():
     assert _ps([1, 2]).mode == "exact"
     assert PowerSeries.of([1.0, 2.0]).mode == "float"
-    assert pgf_series(ClaimDistribution.geometric(F(1, 2)), 4, mode="float").mode == "float"
