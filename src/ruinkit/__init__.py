@@ -23,7 +23,6 @@ from .distributions import ClaimDistribution, DistributionError, MomentReport
 from .oracle import DPConfig, DPResult, MCConfig, MCResult, finite_horizon_dp, mc_estimate
 from .recurrence import ConjectureReport, SequenceTable, build_table, check_conjecture
 from .roots import (
-    MomentConditionError,
     RootLocationError,
     RootProfile,
     find_alpha,
@@ -32,7 +31,7 @@ from .roots import (
     root_profile,
     vanishing_order,
 )
-from .series import PowerSeries, SeriesError, deflate_G, pgf_minus_s2_series, pgf_series, series_divide
+from .series import PowerSeries, deflate_G
 from .survival import (
     LimitEstimate,
     SurvivalSolution,
@@ -57,13 +56,11 @@ __all__ = [
     "LimitEstimate",
     "MCConfig",
     "MCResult",
-    "MomentConditionError",
     "MomentReport",
     "PowerSeries",
     "RootLocationError",
     "RootProfile",
     "SequenceTable",
-    "SeriesError",
     "SurvivalSolution",
     "build_table",
     "check_conjecture",
@@ -79,8 +76,6 @@ __all__ = [
     "initial_values_limit",
     "margin_factor_from_coefficients",
     "mc_estimate",
-    "pgf_minus_s2_series",
-    "pgf_series",
     "phi_table",
     "pi_values",
     "predict_Dn",
@@ -88,7 +83,6 @@ __all__ = [
     "refine_alpha",
     "regime",
     "root_profile",
-    "series_divide",
     "solve",
     "vanishing_order",
     "verify_sign_monotonicity",

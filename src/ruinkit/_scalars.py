@@ -11,9 +11,8 @@ from fractions import Fraction
 
 RationalLike = int | str | Fraction
 
-#: scalar modes: exact rationals (Fraction) or doubles
+#: the scalar mode of exact tables: rationals (Fraction)
 EXACT = "exact"
-FLOAT = "float"
 
 
 def as_fraction(value: RationalLike, what: str = "value") -> Fraction:

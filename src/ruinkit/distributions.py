@@ -201,10 +201,6 @@ class ClaimDistribution:
             acc = acc * s + c
         return acc
 
-    def pgf_minus_s2(self, s):
-        """H(s) - s^2, the characteristic function whose zeros drive everything."""
-        return self.pgf(s) - s * s
-
     def pgf_derivative(self, s, order: int = 1):
         """H^(order)(s) for |s| <= 1; exact for Fraction arguments."""
         if order < 1:

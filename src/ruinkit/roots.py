@@ -43,10 +43,6 @@ class RootLocationError(ValueError):
     """Raised when a guaranteed bracket or zero count is not available."""
 
 
-class MomentConditionError(ValueError):
-    """Raised when the moment hypotheses behind a branch are violated."""
-
-
 @dataclass(frozen=True)
 class RootProfile:
     """alpha > 1, optional beta (1 < beta < alpha, iff E Z > 2), and the

@@ -16,8 +16,8 @@ produced here by three mutually checking routes:
   which is x_{u+1} phi(0) + y_{u+1} phi(1) exactly: the route reads the
   closed-form table shifted by one, at the same rational alpha.  What it
   adds is the check phi(0) = h_1 phi(1) + h_0 phi(2) of the survival
-  recursion at u = 0; the series division itself is checked against the
-  recurrence by ``verify``.
+  recursion at u = 0; ``verify`` checks the x series itself by multiplying
+  it back through H - s^2.
 
 The full table follows from phi(u) = x_u phi(0) + y_u phi(1); on the even
 lattice it is built instead through the income-rate-1 half process, where
@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._scalars import FLOAT
 from .distributions import ClaimDistribution
 from .recurrence import SequenceTable, build_table
 from .roots import RootProfile, find_alpha, refine_alpha, root_profile
@@ -153,13 +152,13 @@ def xi_series(
             "use the half-process route"
         )
     if dist.mean() >= 2:
-        return PowerSeries.of([0.0] * (n_max + 1), FLOAT)
+        return PowerSeries.of([0.0] * (n_max + 1))
     if bits is None:
         alpha = roots.alpha if roots is not None else find_alpha(dist)
         bits = _alpha_bits(alpha, n_max)
     alpha_rat = refine_alpha(dist, bits)
     p0, p1 = initial_values_closed_form(dist, alpha_rat)
-    return PowerSeries.of(phi_table(dist, p0, p1, n_max + 1)[1:], FLOAT)
+    return PowerSeries.of(phi_table(dist, p0, p1, n_max + 1)[1:])
 
 
 def phi_table(dist: ClaimDistribution, phi0, phi1, u_max: int) -> list[float]:
@@ -300,7 +299,7 @@ def solve(
         phi0 = phi1 = pi0 = pi1 = 0.0
         table = [0.0] * (u_max + 1)
         if primitive:
-            xi = PowerSeries.of(table, FLOAT)
+            xi = PowerSeries.of(table)
     elif primitive:
         profile = root_profile(dist)
         bits = _alpha_bits(profile.alpha, max(u_max, 8))
@@ -315,7 +314,7 @@ def solve(
         table = ext[: u_max + 1]
         pi0, pi1 = pi_values(dist, alpha_rat)
         if want_xi:
-            xi = PowerSeries.of(ext[1:], FLOAT)
+            xi = PowerSeries.of(ext[1:])
             diagnostics["routes"]["xi_series"] = [ext[1]]
     else:
         p0_rat, p1_rat = initial_values_closed_form(dist)

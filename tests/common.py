@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from ruinkit import ClaimDistribution, PowerSeries, pgf_minus_s2_series, series_divide
+from ruinkit import ClaimDistribution, PowerSeries
 
 
 def _pmf(weights):
@@ -105,6 +105,36 @@ def reference_table(dist, n_max):
     return x, y, d
 
 
+def pgf_series(dist, n_max):
+    """H(s) as a truncated series: the pmf prefix itself."""
+    return PowerSeries.of(dist.pmf_prefix(n_max))
+
+
+def pgf_minus_s2_series(dist, n_max):
+    """H(s) - s^2 as a truncated series."""
+    coeffs = dist.pmf_prefix(n_max)
+    if n_max >= 2:
+        coeffs[2] -= 1
+    return PowerSeries.of(coeffs)
+
+
+def series_divide(numerator, denominator, n_max):
+    """Quotient q with denominator*q = numerator through order n_max, by the
+    forward recurrence q_n = (a_n - sum_{j=1..n} b_j q_{n-j}) / b_0 in
+    Fraction arithmetic (O(N^2) operations); b_0 must be non-zero."""
+    a, b = numerator.coeffs, denominator.coeffs
+    assert len(a) > n_max and len(b) > n_max and b[0] != 0
+    inv_b0 = 1 / Fraction(b[0])
+    quot = []
+    for n in range(n_max + 1):
+        acc = a[n]
+        for j in range(1, n + 1):
+            if b[j]:
+                acc -= b[j] * quot[n - j]
+        quot.append(acc * inv_b0)
+    return PowerSeries.of(quot)
+
+
 def reference_xi(dist, alpha_rat, n_max):
     """Coefficients xi_0..xi_N of Xi = c(1 + alpha s)U by exact series
     division, U = 1/(H - s^2) and c = (2 - EZ)/(1 + alpha), with alpha the
@@ -122,10 +152,10 @@ def reference_refine_alpha(dist, bits):
     fraction of denominator <= 2**(bits//2 - 1) when it is a root inside
     the final bracket, else -1/midpoint of that bracket."""
     lo, hi = Fraction(-1), Fraction(0)
-    negative_lo = dist.pgf_minus_s2(lo) < 0
+    negative_lo = dist.pgf(lo) - lo * lo < 0
     for _ in range(bits):
         mid = (lo + hi) / 2
-        fm = dist.pgf_minus_s2(mid)
+        fm = dist.pgf(mid) - mid * mid
         if fm == 0:
             return -1 / mid
         if (fm < 0) == negative_lo:
@@ -134,7 +164,7 @@ def reference_refine_alpha(dist, bits):
             hi = mid
     mid = (lo + hi) / 2
     near = mid.limit_denominator(2 ** max(0, bits // 2 - 1))
-    if lo < near < hi and dist.pgf_minus_s2(near) == 0:
+    if lo < near < hi and dist.pgf(near) - near * near == 0:
         return -1 / near
     return -1 / mid
 

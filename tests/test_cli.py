@@ -207,8 +207,7 @@ def test_malformed_spec_exits_one(tmp_path, capsys):
 
 
 def test_documented_errors_exit_one_with_one_line(capsys, monkeypatch):
-    from ruinkit import roots, survival
-    from ruinkit.roots import MomentConditionError
+    from ruinkit import survival
 
     def one_line_error(argv, start):
         code = cli.main(argv)
@@ -221,13 +220,6 @@ def test_documented_errors_exit_one_with_one_line(capsys, monkeypatch):
         one_line_error(["roots", "--dist", spec], "error: ")
     one_line_error(["roots", "--dist", "even:1/2,1/2"], "error: imprimitive claim law")
     one_line_error(["simulate", "--dist", "geometric(1/2)", "--horizon", "0"], "error: horizon")
-
-    def no_fourth_moment(dist):
-        raise MomentConditionError("E Z = 2 requires a finite fourth moment")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(roots, "vanishing_order", no_fourth_moment)
-        one_line_error(["roots", "--dist", "geometric(1/3)"], "error: E Z = 2")
 
     # a wrong phi(1) leaves the pi system unsolved, which its residual check sees
     closed_form = survival.initial_values_closed_form
@@ -257,3 +249,41 @@ def test_verify_matrix(capsys):
     assert len(results["fixtures"]) == 11
     for checks in results["fixtures"].values():
         assert all(checks.values())
+
+
+def test_verify_flags_broken_identities(capsys, monkeypatch):
+    # verify multiplies x, y and G back through H - s^2 up to order 60, so a
+    # change to the top coefficient of any of them is a breach on every fixture
+    from ruinkit import recurrence, series
+
+    top = 60
+    build_table, deflate_G = recurrence.build_table, series.deflate_G
+
+    def table_with_bumped(seq):
+        def perturbed(dist, n_max, mode="exact"):
+            table = build_table(dist, n_max, mode)
+            getattr(table, seq)[top] += 1
+            return table
+
+        return perturbed
+
+    def bumped_G(dist, n_max):
+        g = list(deflate_G(dist, n_max).coeffs)
+        g[top] += 1
+        return series.PowerSeries.of(g)
+
+    cases = (
+        (recurrence, "build_table", table_with_bumped("x"), "series_matches_recurrence"),
+        (recurrence, "build_table", table_with_bumped("y"), "y_identity"),
+        (series, "deflate_G", bumped_G, "deflation_identity"),
+    )
+    for module, name, fake, check in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, fake)
+            code, out = run(capsys, ["verify", "--n", "20"])
+        assert code == 2, check
+        results = json.loads(out)["results"]
+        assert len(results["fixtures"]) == 11
+        for label, checks in results["fixtures"].items():
+            assert checks[check] is False, (label, check)
+            assert f"{label}:{check}" in results["breaches"]

@@ -11,14 +11,20 @@ from ruinkit import (
     PowerSeries,
     build_table,
     check_conjecture,
-    pgf_minus_s2_series,
-    pgf_series,
-    series_divide,
     verify_sign_monotonicity,
 )
 from ruinkit import recurrence
 
-from common import all_fixtures, bernoulli_fixtures, laws, naive_chain, reference_table
+from common import (
+    all_fixtures,
+    bernoulli_fixtures,
+    laws,
+    naive_chain,
+    pgf_minus_s2_series,
+    pgf_series,
+    reference_table,
+    series_divide,
+)
 
 F = Fraction
 

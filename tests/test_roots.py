@@ -85,7 +85,7 @@ def test_beta_matches_direct_bisection():
     dist = ClaimDistribution.geometric(F(1, 4))
     beta = find_beta(dist)
     lo, hi = 1e-9, 1.0 - 1e-9
-    f = lambda s: float(dist.pgf_minus_s2(s))
+    f = lambda s: float(dist.pgf(s) - s * s)
     assert f(lo) > 0 > f(hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
