@@ -20,7 +20,8 @@ from fractions import Fraction
 
 from ._scalars import RationalLike, as_fraction, fraction_str
 
-DEFAULT_TAIL_EPSILON = 1e-16
+#: claim-tail mass below which an infinite-support law is truncated
+TAIL_EPSILON = 1e-16
 
 
 class DistributionError(ValueError):
@@ -31,8 +32,8 @@ class DistributionError(ValueError):
 class MomentReport:
     """Moments of Z and derivatives of its p.g.f. at s = 1.
 
-    ``derivatives[j-1]`` holds H^(j)(1) for 1 <= j <= max_order; entries are
-    Fractions (exact) or ``math.inf`` when the defining series diverges.
+    ``derivatives[j-1]`` holds H^(j)(1) for 1 <= j <= max_order, as an exact
+    Fraction.
     Moments are recovered from the factorial moments H^(j)(1) via Stirling
     numbers of the second kind: E Z^2 = H''(1) + H'(1), and so on.
     """
@@ -61,41 +62,40 @@ class ClaimDistribution:
     kind: str
     pmf: tuple[Fraction, ...] | None = None
     p: Fraction | None = None
-    tail_epsilon: float = DEFAULT_TAIL_EPSILON
 
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def tabulated(cls, pmf, tail_epsilon: float = DEFAULT_TAIL_EPSILON) -> "ClaimDistribution":
+    def tabulated(cls, pmf) -> "ClaimDistribution":
         """Finite-support law from a list of rationals h_0..h_m summing to 1."""
         values = tuple(as_fraction(v, "pmf entry") for v in pmf)
-        dist = cls(kind="tabulated", pmf=values, tail_epsilon=tail_epsilon)
+        dist = cls(kind="tabulated", pmf=values)
         dist._validate()
         return dist
 
     @classmethod
-    def bernoulli(cls, p: RationalLike, tail_epsilon: float = DEFAULT_TAIL_EPSILON) -> "ClaimDistribution":
+    def bernoulli(cls, p: RationalLike) -> "ClaimDistribution":
         """P(Z=1) = p = 1 - P(Z=0), with rational p in (0,1)."""
         pr = as_fraction(p, "p")
         if not 0 < pr < 1:
             raise DistributionError(f"bernoulli parameter must lie in (0,1), got {pr}")
-        return cls(kind="bernoulli", p=pr, tail_epsilon=tail_epsilon)
+        return cls(kind="bernoulli", p=pr)
 
     @classmethod
-    def geometric(cls, p: RationalLike, tail_epsilon: float = DEFAULT_TAIL_EPSILON) -> "ClaimDistribution":
+    def geometric(cls, p: RationalLike) -> "ClaimDistribution":
         """P(Z=k) = p(1-p)^k for k >= 0, with rational p in (0,1)."""
         pr = as_fraction(p, "p")
         if not 0 < pr < 1:
             raise DistributionError(f"geometric parameter must lie in (0,1), got {pr}")
-        return cls(kind="geometric", p=pr, tail_epsilon=tail_epsilon)
+        return cls(kind="geometric", p=pr)
 
     @classmethod
-    def even_lattice(cls, base, tail_epsilon: float = DEFAULT_TAIL_EPSILON) -> "ClaimDistribution":
+    def even_lattice(cls, base) -> "ClaimDistribution":
         """Law of 2*B for a tabulated base law B: support on the even lattice.
 
         Accepts a tabulated ClaimDistribution or a pmf list for B; the result
-        is imprimitive by construction and exercises the half-process branch
-        of the survival formulas.
+        is imprimitive by construction: its closed-form initial values are
+        alpha-free, and the root and asymptotic routes reject it.
         """
         if isinstance(base, ClaimDistribution):
             if base.kind not in ("tabulated", "even_lattice"):
@@ -107,7 +107,7 @@ class ClaimDistribution:
         for v in base_pmf:
             doubled.append(v)
             doubled.append(Fraction(0))
-        dist = cls(kind="even_lattice", pmf=tuple(doubled[:-1]), tail_epsilon=tail_epsilon)
+        dist = cls(kind="even_lattice", pmf=tuple(doubled[:-1]))
         dist._validate()
         return dist
 
@@ -166,16 +166,15 @@ class ClaimDistribution:
                 last = k
         return last
 
-    def truncation_index(self, eps: float | None = None) -> int:
-        """Smallest K with P(Z > K) < eps; identity on finite support."""
+    def truncation_index(self) -> int:
+        """Smallest K with P(Z > K) < TAIL_EPSILON; identity on finite support."""
         if self.support_bound is not None:
             return self.support_bound
-        eps = self.tail_epsilon if eps is None else eps
         q = 1 - self.p
         # tail beyond K is q^(K+1); solve exactly by stepping from a log estimate
-        k = max(0, int(math.log(eps) / math.log(float(q))) - 2)
+        k = max(0, int(math.log(TAIL_EPSILON) / math.log(float(q))) - 2)
         tail = q**(k + 1)
-        while tail >= eps:
+        while tail >= TAIL_EPSILON:
             tail *= q
             k += 1
         return k
@@ -225,12 +224,8 @@ class ClaimDistribution:
         return acc
 
     def pgf_derivatives_at_one(self, max_order: int = 4) -> MomentReport:
-        """Derivatives H^(j)(1), 1 <= j <= max_order, and the moments E Z^j.
-
-        All four kinds have finite moments of every order, so the divergence
-        flag (math.inf) never fires for the built-in laws; it is kept in the
-        report schema for forward compatibility.
-        """
+        """Derivatives H^(j)(1), 1 <= j <= max_order, and the moments E Z^j,
+        all exact: every kind has finite moments of every order."""
         if max_order not in (1, 2, 3, 4):
             raise ValueError("max_order must be between 1 and 4")
         if self.kind == "bernoulli":
@@ -270,16 +265,6 @@ class ClaimDistribution:
             return True
         return any(self.pmf[k] for k in range(1, len(self.pmf), 2))
 
-    def half_law(self) -> "ClaimDistribution":
-        """For an imprimitive law, the law of Z/2 (claims on the even lattice).
-
-        Used by the income-rate-1 half process: survival of the original
-        process at even surpluses equals survival of the halved process.
-        """
-        if self.is_primitive():
-            raise DistributionError("half_law is defined only for even-lattice (imprimitive) laws")
-        return ClaimDistribution.tabulated(self.pmf[::2], tail_epsilon=self.tail_epsilon)
-
     # -- serialization -------------------------------------------------------
 
     @classmethod
@@ -297,22 +282,20 @@ class ClaimDistribution:
         """
         if not isinstance(spec, dict):
             raise DistributionError(f"distribution spec must be an object, got {type(spec).__name__}")
-        tail = spec.get("tail_epsilon", DEFAULT_TAIL_EPSILON)
-        tail = float(tail)
         if "pmf" in spec:
-            return cls.tabulated(spec["pmf"], tail_epsilon=tail)
+            return cls.tabulated(spec["pmf"])
         family = spec.get("family")
         if family in ("bernoulli", "geometric"):
             if "p" not in spec:
                 raise DistributionError(f"field 'p' is required for family {family!r}")
-            return getattr(cls, family)(spec["p"], tail_epsilon=tail)
+            return getattr(cls, family)(spec["p"])
         if family == "even_lattice":
             if "base" not in spec:
                 raise DistributionError("field 'base' is required for family 'even_lattice'")
             base = cls.from_spec(spec["base"])
             if base.kind != "tabulated":
                 raise DistributionError("even_lattice base must be a tabulated law")
-            return cls.even_lattice(base, tail_epsilon=tail)
+            return cls.even_lattice(base)
         raise DistributionError(
             f"unrecognized distribution spec: expected field 'pmf' or 'family' in "
             f"{{bernoulli, geometric, even_lattice}}, got {sorted(spec)}"

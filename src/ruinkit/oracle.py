@@ -46,11 +46,10 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class DPConfig:
-    """horizon N; surplus cap (None = u + 2N, exact); claim-tail threshold."""
+    """horizon N; surplus cap (None = u + 2N, exact)."""
 
     horizon: int
     surplus_cap: int | None = None
-    tail_epsilon: float | None = None
 
 
 @dataclass(frozen=True)
@@ -96,9 +95,8 @@ def finite_horizon_dp(dist: ClaimDistribution, u: int, cfg: DPConfig) -> DPResul
         raise ValueError("surplus cap must admit at least the first step")
     import numpy as np
 
-    eps = dist.tail_epsilon if cfg.tail_epsilon is None else cfg.tail_epsilon
     # claims beyond cap + 1 ruin every in-cap state; dropping them is exact
-    k_top = min(dist.truncation_index(eps), cap + 1)
+    k_top = min(dist.truncation_index(), cap + 1)
     h = np.array([float(v) for v in dist.pmf_prefix(k_top)], dtype=np.float64)
     tail = max(0.0, 1.0 - float(h.sum()))
     hr = h[::-1].copy()
@@ -138,10 +136,10 @@ def finite_horizon_dp(dist: ClaimDistribution, u: int, cfg: DPConfig) -> DPResul
     )
 
 
-def _claim_cdf(dist: ClaimDistribution, eps: float | None = None) -> np.ndarray:
+def _claim_cdf(dist: ClaimDistribution) -> np.ndarray:
     import numpy as np
 
-    k_top = dist.truncation_index(eps if eps is not None else dist.tail_epsilon)
+    k_top = dist.truncation_index()
     return np.cumsum(
         np.array([float(v) for v in dist.pmf_prefix(k_top)], dtype=np.float64)
     )

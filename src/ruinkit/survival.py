@@ -19,9 +19,9 @@ produced here by three mutually checking routes:
   recursion at u = 0; ``verify`` checks the x series itself by multiplying
   it back through H - s^2.
 
-The full table follows from phi(u) = x_u phi(0) + y_u phi(1); on the even
-lattice it is built instead through the income-rate-1 half process, where
-phi(2u) = phi(2u-1) = phi_half(u).
+The full table follows from phi(u) = x_u phi(0) + y_u phi(1), which holds
+for every law with h_0 > 0, even-lattice laws included: there it gives
+phi(2u) = phi(2u-1), as the closed form has phi(1) = phi(0)/h_0 = phi(2).
 
 Numerical discipline: x_u and y_u grow like alpha^u while phi stays in
 [0, 1], so the linear combination cancels catastrophically in floating
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .distributions import ClaimDistribution
-from .recurrence import SequenceTable, build_table
+from .recurrence import SequenceTable, _numerators, _rational_pgf, build_table
 from .roots import RootProfile, find_alpha, refine_alpha, root_profile
 from .series import PowerSeries
 
@@ -144,7 +144,8 @@ def xi_series(
     rational alpha of ``bits`` bits, exact until floated.
 
     Identically zero when E Z >= 2 (the positive-part factor).  Raises for
-    even-lattice laws, whose survival is reached through the half process.
+    even-lattice laws, which have no root alpha: their table is phi_table at
+    the alpha-free closed form.
     """
     if not dist.is_primitive():
         raise ValueError(
@@ -162,44 +163,27 @@ def xi_series(
 
 
 def phi_table(dist: ClaimDistribution, phi0, phi1, u_max: int) -> list[float]:
-    """phi(0..u_max) from initial values produced by any route.
+    """phi(0..u_max) = x_u phi(0) + y_u phi(1) from initial values produced
+    by any route, for every law (primitive or on the even lattice).
 
-    Primitive laws use phi(u) = x_u phi(0) + y_u phi(1) with exact x_u, y_u;
-    even-lattice laws run the income-rate-1 half process and duplicate
-    phi(2u) = phi(2u-1).  Initial values are converted to exact rationals
-    (floats convert exactly), so the growing x_u, y_u cancel without noise
-    at the precision the initial values carry; for large u_max pass
-    high-precision rationals, as solve() does.
+    x_u = N_u / q_0^(u+1) and y_u = N_{u+1} / (r_0 q_0^(u+1)) are read off
+    the integer numerators of the recurrence (see recurrence), so each entry
+    is one exact rational, floated once.  Initial values are converted to
+    exact rationals (floats convert exactly), so the growing x_u, y_u cancel
+    without noise at the precision the initial values carry; for large u_max
+    pass high-precision rationals, as solve() does.
     """
     if u_max < 0:
         raise ValueError("u_max must be non-negative")
+    p, r, q = _rational_pgf(dist)
     p0 = Fraction(phi0)
-    p1 = Fraction(phi1)
-    if not dist.is_primitive():
-        return _phi_table_half_process(dist, p0, p1, u_max)
-    if u_max == 0:
-        return [float(p0)]
-    table = build_table(dist, max(u_max, 2))
-    return [float(table.x[u] * p0 + table.y[u] * p1) for u in range(u_max + 1)]
-
-
-def _phi_table_half_process(
-    dist: ClaimDistribution, p0: Fraction, p1: Fraction, u_max: int
-) -> list[float]:
-    half = dist.half_law()
-    m = (u_max + 1) // 2
-    hh = half.pmf_prefix(m + 1)
-    values = [p0, p1]  # phi_half(0) = phi(0), phi_half(1) = phi(1)
-    for u in range(1, m):
-        acc = values[u]
-        for k in range(1, u + 1):
-            hv = hh[u + 1 - k]
-            if hv:
-                acc -= hv * values[k]
-        values.append(acc / hh[0])
-    out = [float(p0)]
-    for u in range(1, u_max + 1):
-        out.append(float(values[(u + 1) // 2]))
+    c1 = Fraction(phi1) / r[0]
+    big = _numerators(p, q, u_max + 1)
+    out: list[float] = []
+    den = q[0]
+    for u in range(u_max + 1):
+        out.append(float((big[u] * p0 + big[u + 1] * c1) / den))
+        den *= q[0]
     return out
 
 
@@ -300,35 +284,36 @@ def solve(
         table = [0.0] * (u_max + 1)
         if primitive:
             xi = PowerSeries.of(table)
-    elif primitive:
-        profile = root_profile(dist)
-        bits = _alpha_bits(profile.alpha, max(u_max, 8))
-        alpha_rat = refine_alpha(dist, bits)
+    else:
+        alpha_rat = None  # the even-lattice closed form is alpha-free
+        if primitive:
+            profile = root_profile(dist)
+            bits = _alpha_bits(profile.alpha, max(u_max, 8))
+            alpha_rat = refine_alpha(dist, bits)
+            diagnostics["alpha"] = profile.alpha
+            diagnostics["alpha_bits"] = bits
+            diagnostics["vanishing_order"] = profile.r
         p0_rat, p1_rat = initial_values_closed_form(dist, alpha_rat)
         phi0, phi1 = float(p0_rat), float(p1_rat)
-        diagnostics["alpha"] = profile.alpha
-        diagnostics["alpha_bits"] = bits
-        diagnostics["vanishing_order"] = profile.r
-        # xi_u = phi(u + 1) (see xi_series): one table serves both
-        ext = phi_table(dist, p0_rat, p1_rat, u_max + 1)
+        # one table through phi(u_max + 1) serves the xi route
+        # (xi_u = phi(u + 1), see xi_series) and pi on the even lattice
+        ext = phi_table(dist, p0_rat, p1_rat, max(u_max + 1, 2))
         table = ext[: u_max + 1]
-        pi0, pi1 = pi_values(dist, alpha_rat)
-        if want_xi:
-            xi = PowerSeries.of(ext[1:])
-            diagnostics["routes"]["xi_series"] = [ext[1]]
-    else:
-        p0_rat, p1_rat = initial_values_closed_form(dist)
-        phi0, phi1 = float(p0_rat), float(p1_rat)
-        ext = phi_table(dist, p0_rat, p1_rat, max(u_max, 2))
-        table = ext[: u_max + 1]
-        # pi from survival differences along the half-process table
-        pi0, pi1 = ext[1], ext[2] - ext[1]
-        diagnostics["pi_source"] = "half-process table differences"
-        if want_xi:
-            diagnostics["routes"]["xi_series"] = None
-            diagnostics.setdefault("notes", []).append(
-                "generating-function route skipped: even-lattice law"
-            )
+        if primitive:
+            pi0, pi1 = pi_values(dist, alpha_rat)
+            if want_xi:
+                xi = PowerSeries.of(ext[1 : u_max + 2])
+                diagnostics["routes"]["xi_series"] = [ext[1]]
+        else:
+            # pi from survival differences along the table; the pi_source
+            # label is a fixed string of the report format
+            pi0, pi1 = ext[1], ext[2] - ext[1]
+            diagnostics["pi_source"] = "half-process table differences"
+            if want_xi:
+                diagnostics["routes"]["xi_series"] = None
+                diagnostics.setdefault("notes", []).append(
+                    "generating-function route skipped: even-lattice law"
+                )
 
     diagnostics["routes"]["closed_form"] = [phi0, phi1]
     values0 = [phi0]

@@ -19,11 +19,14 @@ _weights = st.tuples(
 ).map(lambda t: [t[0], *t[1]])
 _ratios = st.integers(2, 41).flatmap(lambda b: st.tuples(st.integers(1, b - 1), st.just(b)))
 
+#: random laws 2*B on the even lattice, E Z on both sides of 2
+even_lattice_laws = _weights.map(lambda w: ClaimDistribution.even_lattice(_pmf(w)))
+
 #: random rational laws of every kind: tabulated, even-lattice, Bernoulli,
 #: geometric
 laws = st.one_of(
     _weights.map(lambda w: ClaimDistribution.tabulated(_pmf(w))),
-    _weights.map(lambda w: ClaimDistribution.even_lattice(_pmf(w))),
+    even_lattice_laws,
     _ratios.map(lambda t: ClaimDistribution.bernoulli(Fraction(*t))),
     _ratios.map(lambda t: ClaimDistribution.geometric(Fraction(*t))),
 )
@@ -167,6 +170,27 @@ def reference_refine_alpha(dist, bits):
     if lo < near < hi and dist.pgf(near) - near * near == 0:
         return -1 / near
     return -1 / mid
+
+
+def reference_phi_half(dist, p0, p1, u_max):
+    """phi(0..u_max) of an even-lattice law through the income-rate-1 half
+    process, as exact Fractions (O(u_max^2) operations).
+
+    With hh the law of Z/2, psi(1) = p1 and
+    psi(v + 1) = (psi(v) - sum_{k=1..v} hh_{v+1-k} psi(k)) / hh_0, then
+    phi(0) = p0 and phi(2v - 1) = phi(2v) = psi(v).  This is the survival
+    table when p1 = p0/h_0, as the closed form has.
+    """
+    m = (u_max + 1) // 2
+    hh = ClaimDistribution.tabulated(dist.pmf[::2]).pmf_prefix(m + 1)
+    psi = [Fraction(p0), Fraction(p1)]  # psi[0] is never read by the recursion
+    for v in range(1, m):
+        acc = psi[v]
+        for k in range(1, v + 1):
+            if hh[v + 1 - k]:
+                acc -= hh[v + 1 - k] * psi[k]
+        psi.append(acc / hh[0])
+    return [psi[0]] + [psi[(u + 1) // 2] for u in range(1, u_max + 1)]
 
 
 def reference_survivors(u, cfg, start, count, cdf):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ruinkit import ClaimDistribution, DistributionError
+from ruinkit.distributions import TAIL_EPSILON
 
 from common import all_fixtures
 
@@ -65,7 +66,7 @@ def test_pgf_matches_series_summation():
             for hk in h:
                 direct += hk * power
                 power *= s
-            assert abs(float(dist.pgf(s)) - direct) <= 10 * dist.tail_epsilon + 1e-15
+            assert abs(float(dist.pgf(s)) - direct) <= 10 * TAIL_EPSILON + 1e-15
 
 
 def test_moments_bernoulli():
@@ -115,13 +116,6 @@ def test_is_primitive():
 def test_even_lattice_interleaves():
     dist = ClaimDistribution.even_lattice([F(1, 4), F(1, 4), F(1, 2)])
     assert dist.pmf == (F(1, 4), 0, F(1, 4), 0, F(1, 2))
-    half = dist.half_law()
-    assert half.pmf == (F(1, 4), F(1, 4), F(1, 2))
-
-
-def test_half_law_requires_even_support():
-    with pytest.raises(DistributionError):
-        ClaimDistribution.tabulated([F(1, 2), F(1, 2)]).half_law()
 
 
 def test_construction_validation():
@@ -150,7 +144,7 @@ def test_truncation_index_geometric():
     dist = ClaimDistribution.geometric(F(1, 2))
     k = dist.truncation_index()
     assert F(1, 2) ** (k + 1) < F(1, 10**16)
-    assert F(1, 2) ** k >= dist.tail_epsilon / 2  # not absurdly deep
+    assert F(1, 2) ** k >= TAIL_EPSILON / 2  # not absurdly deep
 
 
 def test_spec_round_trip():

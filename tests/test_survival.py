@@ -23,7 +23,7 @@ from ruinkit import (
     xi_series,
 )
 
-from common import laws, reference_xi, survivable_fixtures
+from common import even_lattice_laws, laws, reference_phi_half, reference_xi, survivable_fixtures
 
 F = Fraction
 
@@ -180,6 +180,28 @@ def test_phi_table_even_lattice_half_process():
     seq = build_table(dist, 8)
     for u in range(9):
         assert float(seq.x[u] * F(1, 2) + seq.y[u] * 1) == table[u]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dist=even_lattice_laws,
+    u_max=st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 300)),
+)
+def test_phi_table_matches_half_process_on_even_lattice(dist, u_max):
+    # phi_table reads x_u, y_u for every law; on the even lattice it must give
+    # the half process's table for any pair with phi(1) = phi(0)/h_0: the
+    # closed form when E Z < 2, the same formula continued when E Z >= 2
+    p0 = (2 - dist.mean()) / 2
+    p1 = p0 / dist.hk(0)
+    if dist.mean() < 2:
+        assert (p0, p1) == initial_values_closed_form(dist)
+    want = []
+    for v in reference_phi_half(dist, p0, p1, u_max):
+        try:
+            want.append(float(v))
+        except OverflowError:  # E Z > 2: the continued pair grows without bound
+            break
+    assert phi_table(dist, p0, p1, len(want) - 1) == want
 
 
 def test_pi_values_geometric_half():
