@@ -28,6 +28,10 @@ class DistributionError(ValueError):
     """Raised when a claim law violates a construction invariant."""
 
 
+#: the parameter field of each named family in a JSON spec
+_FAMILY_FIELD = {"bernoulli": "p", "geometric": "p", "even_lattice": "base"}
+
+
 @dataclass(frozen=True)
 class MomentReport:
     """Moments of Z and derivatives of its p.g.f. at s = 1.
@@ -166,16 +170,20 @@ class ClaimDistribution:
                 last = k
         return last
 
+    def tail_mass(self, k: int) -> Fraction:
+        """Exact P(Z > k) = 1 - (h_0 + ... + h_k); (1 - p)^(k+1) for the
+        geometric law, whose long prefix sums cost far more in Fractions."""
+        if self.kind == "geometric":
+            return (1 - self.p) ** (k + 1)
+        return 1 - sum(self.pmf_prefix(k))
+
     def truncation_index(self) -> int:
         """Smallest K with P(Z > K) < TAIL_EPSILON; identity on finite support."""
         if self.support_bound is not None:
             return self.support_bound
-        q = 1 - self.p
-        # tail beyond K is q^(K+1); solve exactly by stepping from a log estimate
-        k = max(0, int(math.log(TAIL_EPSILON) / math.log(float(q))) - 2)
-        tail = q**(k + 1)
-        while tail >= TAIL_EPSILON:
-            tail *= q
+        # solve q^(K+1) < TAIL_EPSILON exactly by stepping from a log estimate
+        k = max(0, int(math.log(TAIL_EPSILON) / math.log(float(1 - self.p))) - 2)
+        while self.tail_mass(k) >= TAIL_EPSILON:
             k += 1
         return k
 
@@ -278,28 +286,34 @@ class ClaimDistribution:
             {"pmf": ["1/3", "1/3", "1/3"]}
             {"family": "even_lattice", "base": {"pmf": ["1/2", "1/2"]}}
 
-        Rationals are "num/den" strings (or integers).
+        Rationals are "num/den" strings (or integers).  A field the shape
+        does not carry, at the top level or in a ``base``, is an error.
         """
         if not isinstance(spec, dict):
             raise DistributionError(f"distribution spec must be an object, got {type(spec).__name__}")
-        if "pmf" in spec:
-            return cls.tabulated(spec["pmf"])
+        unknown = sorted(set(spec) - {"pmf", "family", "p", "base"})
+        if unknown:
+            raise DistributionError(f"unknown field(s) {unknown} in distribution spec")
         family = spec.get("family")
-        if family in ("bernoulli", "geometric"):
-            if "p" not in spec:
-                raise DistributionError(f"field 'p' is required for family {family!r}")
-            return getattr(cls, family)(spec["p"])
+        field = "pmf" if "pmf" in spec else _FAMILY_FIELD.get(family)
+        if field is None:
+            raise DistributionError(
+                f"unrecognized distribution spec: expected field 'pmf' or 'family' in "
+                f"{{bernoulli, geometric, even_lattice}}, got {sorted(spec)}"
+            )
+        conflicting = sorted(set(spec) - ({"pmf"} if field == "pmf" else {"family", field}))
+        if conflicting:
+            raise DistributionError(f"field(s) {conflicting} conflict with field {field!r}")
+        if field == "pmf":
+            return cls.tabulated(spec["pmf"])
+        if field not in spec:
+            raise DistributionError(f"field {field!r} is required for family {family!r}")
         if family == "even_lattice":
-            if "base" not in spec:
-                raise DistributionError("field 'base' is required for family 'even_lattice'")
             base = cls.from_spec(spec["base"])
             if base.kind != "tabulated":
                 raise DistributionError("even_lattice base must be a tabulated law")
             return cls.even_lattice(base)
-        raise DistributionError(
-            f"unrecognized distribution spec: expected field 'pmf' or 'family' in "
-            f"{{bernoulli, geometric, even_lattice}}, got {sorted(spec)}"
-        )
+        return getattr(cls, family)(spec["p"])
 
     def to_spec(self) -> dict:
         if self.kind in ("bernoulli", "geometric"):

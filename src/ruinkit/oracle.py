@@ -5,11 +5,18 @@ which makes it a cross-check oracle for every analytic route: it depends on
 nothing but the model definition.
 
 The DP runs forward over the surplus lattice (ruin states are absorbing and
-dropped; the surplus moves by 2 - Z each step, so the live states hug the
-ruin barrier).  States above ``surplus_cap`` are treated as absorbed-safe;
-with the default cap u + 2N no state can exceed it and the DP is exact up to
-claim-tail truncation and float rounding.  A smaller cap over-counts
-survival by at most the absorbed mass, which is reported.
+dropped; the surplus moves by 2 - Z each step).  States above
+``surplus_cap`` are treated as absorbed-safe; with the default cap u + 2N no
+state can exceed it.  A smaller cap over-counts survival by at most the
+absorbed mass, which is reported.  The live states are held as a window
+``v[i] = P(alive, surplus = base + i)``, starting from the point mass on u.
+At step n almost all of their mass lies within O(sqrt(n)) of
+u + (2 - E Z) n, so every _TRIM_EVERY steps the window drops the run of
+entries at each end whose total mass is at most _DROP_EPSILON = 2**-120,
+looking only near its ends; the loop stops once the window is empty (all
+mass ruined, dropped or absorbed).  The DP is thus exact up to claim-tail
+truncation, float rounding and at most 2 * trims * _DROP_EPSILON of dropped
+mass, with trims <= N / _TRIM_EVERY: under 1e-27 for N up to 10**9.
 
 The Monte Carlo is bit-reproducible and partition-independent: claims for
 step j live on the Philox counter plane j << 128 under the run's key (the
@@ -78,12 +85,23 @@ class MCResult:
     seed: int
 
 
+#: a run of entries at either end of the DP window whose mass is at most this
+#: is dropped; 2**-120 keeps the total dropped far below the float rounding
+#: of a probability near 1
+_DROP_EPSILON = 2.0**-120
+#: steps between two trims of the DP window
+_TRIM_EVERY = 4
+
+
 def finite_horizon_dp(dist: ClaimDistribution, u: int, cfg: DPConfig) -> DPResult:
     """Survival probability through horizon N, exact up to stated policies.
 
     Survive step n from surplus w iff the claim z satisfies w + 2 - z >= 1;
     mass moving to w' > cap is absorbed as safe, mass at w' <= 0 is ruined
-    and dropped.
+    and dropped.  Only the window of live states that carries mass is
+    convolved (see the module docstring), so the value is exact up to claim
+    truncation, float rounding and at most 2 * trims * _DROP_EPSILON of
+    dropped mass, with trims <= N / _TRIM_EVERY.
     """
     if u < 0:
         raise ValueError("initial surplus must be non-negative")
@@ -97,43 +115,53 @@ def finite_horizon_dp(dist: ClaimDistribution, u: int, cfg: DPConfig) -> DPResul
 
     # claims beyond cap + 1 ruin every in-cap state; dropping them is exact
     k_top = min(dist.truncation_index(), cap + 1)
-    h = np.array([float(v) for v in dist.pmf_prefix(k_top)], dtype=np.float64)
-    tail = max(0.0, 1.0 - float(h.sum()))
-    hr = h[::-1].copy()
-    big_k = len(h) - 1
+    hr = np.array([float(v) for v in reversed(dist.pmf_prefix(k_top))], dtype=np.float64)
+    reach = 2 * _TRIM_EVERY * (k_top + 1)
 
-    # v[i] = P(alive, surplus = i + 1); first step from the deterministic u
+    # v[i] = P(alive, surplus = base + i), from the point mass on u
+    v = np.ones(1, dtype=np.float64)
+    base = u
     absorbed = 0.0
-    first = np.zeros(min(u + 2, cap), dtype=np.float64)
-    for z in range(min(big_k, u + 1) + 1):
-        w = u + 2 - z
-        if w > cap:
-            absorbed += h[z]
-        else:
-            first[w - 1] += h[z]
-    v = first
-
-    for _ in range(2, n_steps + 1):
+    for step in range(1, n_steps + 1):
         conv = np.convolve(v, hr)
-        # conv[t] collects all mass landing on surplus j = t + 3 - big_k
-        t_lo = big_k - 2  # j = 1
-        t_hi = t_lo + cap  # first index with j > cap
+        # conv[t] collects all mass landing on surplus base + 2 - k_top + t
+        t_lo = k_top - 1 - base  # surplus 1
+        t_hi = t_lo + cap  # surplus cap + 1
         if t_hi < len(conv):
             absorbed += float(conv[t_hi:].sum())
-        seg = conv[max(0, t_lo):t_hi]
-        if t_lo >= 0:
-            v = seg
-        else:
-            v = np.concatenate([np.zeros(-t_lo, dtype=np.float64), seg])
+        v = conv[max(0, t_lo):t_hi]
+        base = max(1, base + 2 - k_top)
+        if step % _TRIM_EVERY == 0:
+            lo = _droppable(v, reach)
+            v = v[lo:len(v) - _droppable(v[lo:][::-1], reach)]
+            base += lo
+        if not len(v):
+            break
     value = float(v.sum()) + absorbed
     return DPResult(
         value=value,
         horizon=n_steps,
         surplus_cap=cap,
         cap_absorbed=absorbed if cfg.surplus_cap is not None else 0.0,
-        truncation_tail=tail,
+        truncation_tail=float(dist.tail_mass(k_top)),
         truncation_index=k_top,
     )
+
+
+def _droppable(v: np.ndarray, reach: int) -> int:
+    """Length of the longest prefix of v whose mass is at most _DROP_EPSILON.
+
+    Looks at the first ``reach`` entries, and at twice as many while all of
+    those can go, so a trim costs O(reach + the entries it drops).
+    """
+    import numpy as np
+
+    span = reach
+    while True:
+        k = int(np.searchsorted(np.cumsum(v[:span]), _DROP_EPSILON, side="right"))
+        if k < span or span >= len(v):
+            return k
+        span *= 2
 
 
 def _claim_cdf(dist: ClaimDistribution) -> np.ndarray:

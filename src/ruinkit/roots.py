@@ -64,7 +64,7 @@ def _q(dist: ClaimDistribution) -> list[int]:
     """
     if not dist.is_primitive():
         raise RootLocationError(
-            "imprimitive claim law: roots are not used; take the half-process route"
+            "imprimitive claim law: roots are not used; solve takes the alpha-free closed form"
         )
     return _rational_pgf(dist)[2]
 

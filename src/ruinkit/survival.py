@@ -150,7 +150,7 @@ def xi_series(
     if not dist.is_primitive():
         raise ValueError(
             "the survival generating function needs a primitive law; "
-            "use the half-process route"
+            "on the even lattice use phi_table or solve"
         )
     if dist.mean() >= 2:
         return PowerSeries.of([0.0] * (n_max + 1))
@@ -207,7 +207,7 @@ def pi_values(dist: ClaimDistribution, alpha=None) -> tuple[float, float]:
     if not dist.is_primitive():
         raise ValueError(
             "the linear system for pi needs a primitive law; on the even "
-            "lattice take differences of the half-process survival table"
+            "lattice take differences of phi_table"
         )
     mean = dist.mean()
     if mean >= 2:

@@ -211,6 +211,31 @@ def reference_survivors(u, cfg, start, count, cdf):
     return int(alive.sum())
 
 
+def reference_dp(dist, u, horizon, cap=None):
+    """(value, cap_absorbed) of the finite-horizon DP over every surplus state
+    1..cap at every step (cap defaults to u + 2 * horizon, which no state can
+    pass): the dense loop, with no window and no dropped mass."""
+    cap = u + 2 * horizon if cap is None else cap
+    k_top = min(dist.truncation_index(), cap + 1)
+    h = np.array([float(v) for v in dist.pmf_prefix(k_top)], dtype=np.float64)
+    hr = h[::-1].copy()
+    # v[i] = P(alive, surplus = i + 1); first step from the deterministic u
+    absorbed = 0.0
+    v = np.zeros(u + 2, dtype=np.float64)
+    for z in range(min(k_top, u + 1) + 1):
+        v[u + 1 - z] += h[z]
+    for _ in range(2, horizon + 1):
+        conv = np.convolve(v, hr)
+        # conv[t] collects all mass landing on surplus j = t + 3 - k_top
+        t_lo = k_top - 2  # j = 1
+        t_hi = t_lo + cap  # first index with j > cap
+        if t_hi < len(conv):
+            absorbed += float(conv[t_hi:].sum())
+        seg = conv[max(0, t_lo):t_hi]
+        v = seg if t_lo >= 0 else np.concatenate([np.zeros(-t_lo), seg])
+    return float(v.sum()) + absorbed, absorbed
+
+
 def naive_chain(d, strict):
     """The determinant chain 1 <= D_0 <= D_2 <= ... and ... <= D_3 <= D_1 <= -1
     on D_0..D_N, one inequality at a time.

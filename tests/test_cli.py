@@ -219,6 +219,10 @@ def test_documented_errors_exit_one_with_one_line(capsys, monkeypatch):
     for spec in ("pmf:1/2,1/3", "bernoulli(3/2)", "pmf:1/2,x", "poisson(1)"):
         one_line_error(["roots", "--dist", spec], "error: ")
     one_line_error(["roots", "--dist", "even:1/2,1/2"], "error: imprimitive claim law")
+    one_line_error(["dp", "--dist", '{"family": "geometric", "p": "1/2", "tail_epsilon": "1e-10"}',
+                    "--horizon", "5"], "error: unknown field")
+    one_line_error(["dp", "--dist", '{"family": "geometric", "p": "1/2", "pmf": ["1/2", "1/2"]}',
+                    "--horizon", "5"], "error: field(s) ['family', 'p'] conflict")
     one_line_error(["simulate", "--dist", "geometric(1/2)", "--horizon", "0"], "error: horizon")
 
     # a wrong phi(1) leaves the pi system unsolved, which its residual check sees

@@ -147,11 +147,15 @@ def test_truncation_index_geometric():
     assert F(1, 2) ** k >= TAIL_EPSILON / 2  # not absurdly deep
 
 
+def test_tail_mass_is_the_exact_prefix_complement():
+    for dist in all_fixtures():
+        for k in (0, 1, 2, 5, dist.truncation_index()):
+            assert dist.tail_mass(k) == 1 - sum(dist.pmf_prefix(k)), (dist.label(), k)
+
+
 def test_spec_round_trip():
     for dist in all_fixtures() + [ClaimDistribution.even_lattice([F(1, 2), F(1, 2)])]:
-        again = ClaimDistribution.from_spec(dist.to_spec())
-        assert again.kind == dist.kind
-        assert again.pmf_prefix(8) == dist.pmf_prefix(8)
+        assert ClaimDistribution.from_spec(dist.to_spec()) == dist
 
 
 def test_from_spec_rejects_garbage():
@@ -161,3 +165,18 @@ def test_from_spec_rejects_garbage():
         ClaimDistribution.from_spec({"family": "bernoulli"})
     with pytest.raises(DistributionError):
         ClaimDistribution.from_spec(["1/2", "1/2"])
+
+
+def test_from_spec_rejects_unknown_and_conflicting_fields():
+    bad = [
+        ({"family": "geometric", "p": "1/2", "tail_epsilon": "1e-10"}, "unknown field"),
+        ({"pmf": ["1/2", "1/2"], "weight": 1}, "unknown field"),
+        ({"family": "even_lattice", "base": {"pmf": ["1/2", "1/2"], "scale": 2}}, "unknown field"),
+        ({"family": "geometric", "p": "1/2", "pmf": ["1/2", "1/2"]}, "conflict"),
+        ({"family": "bernoulli", "p": "1/2", "base": {"pmf": ["1"]}}, "conflict"),
+        ({"family": "even_lattice", "base": {"pmf": ["1/2", "1/2"], "family": "bernoulli"}},
+         "conflict"),
+    ]
+    for spec, message in bad:
+        with pytest.raises(DistributionError, match=message):
+            ClaimDistribution.from_spec(spec)

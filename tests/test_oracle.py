@@ -18,7 +18,7 @@ from ruinkit import (
 )
 from ruinkit.oracle import _claim_cdf, _guide_table, _simulate_block
 
-from common import all_fixtures, enumerate_survival, laws, reference_survivors
+from common import all_fixtures, enumerate_survival, laws, reference_dp, reference_survivors
 
 F = Fraction
 
@@ -41,6 +41,14 @@ def test_dp_bernoulli_certain():
     for u in (0, 2):
         res = finite_horizon_dp(ClaimDistribution.bernoulli(F(1, 3)), u, DPConfig(horizon=60))
         assert abs(res.value - 1.0) < 1e-12
+
+
+def test_dp_truncation_tail_is_exact():
+    finite = ClaimDistribution.tabulated([F(2, 23), F(16, 23), F(5, 23)])
+    assert finite_horizon_dp(finite, 0, DPConfig(horizon=5)).truncation_tail == 0.0
+    res = finite_horizon_dp(ClaimDistribution.geometric(F(1, 2)), 0, DPConfig(horizon=5))
+    assert res.truncation_index == 11  # cap + 1 = u + 2N + 1
+    assert res.truncation_tail == 2.0**-12
 
 
 def test_dp_two_step_golden():
@@ -90,6 +98,30 @@ def test_dp_cap_policy():
     assert exact.value - 1e-12 <= capped.value <= exact.value + capped.cap_absorbed
     with pytest.raises(ValueError):
         finite_horizon_dp(dist, 10, DPConfig(horizon=5, surplus_cap=8))
+
+
+# the window drops at most 2**-120 at each end of every trim, one trim every
+# 4 steps (the finite_horizon_dp docstring); 1e-14 covers float rounding
+@settings(max_examples=50, deadline=None)
+@given(
+    dist=laws,
+    u=st.integers(0, 20),
+    horizon=st.integers(1, 400),
+    cap_room=st.none() | st.integers(0, 400),
+)
+@example(dist=ClaimDistribution.geometric(F(1, 2)), u=0, horizon=400, cap_room=None)
+@example(dist=ClaimDistribution.tabulated([F(2, 23), F(16, 23), F(5, 23)]), u=0, horizon=400,
+         cap_room=None)
+# E Z = 27/5: every path is ruined or dropped after 84 steps
+@example(dist=ClaimDistribution.tabulated([F(1, 10), 0, 0, 0, 0, 0, F(9, 10)]), u=0,
+         horizon=400, cap_room=None)
+def test_dp_band_matches_dense_reference(dist, u, horizon, cap_room):
+    cap = None if cap_room is None else u + 2 + cap_room
+    res = finite_horizon_dp(dist, u, DPConfig(horizon=horizon, surplus_cap=cap))
+    value, absorbed = reference_dp(dist, u, horizon, cap)
+    bound = 2 * (horizon // 4) * 2.0**-120 + 1e-14
+    assert abs(res.value - value) <= bound
+    assert abs(res.cap_absorbed - (absorbed if cap is not None else 0.0)) <= bound
 
 
 def test_dp_validates_inputs():

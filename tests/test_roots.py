@@ -107,7 +107,7 @@ def test_vanishing_orders():
 
 def test_imprimitive_rejected():
     dist = ClaimDistribution.tabulated([F(1, 2), 0, F(1, 2)])
-    with pytest.raises(RootLocationError, match="half-process"):
+    with pytest.raises(RootLocationError, match="alpha-free"):
         find_alpha(dist)
     with pytest.raises(RootLocationError):
         root_profile(dist)

@@ -108,8 +108,11 @@ def test_xi_zero_when_ruinous():
 
 
 def test_xi_rejects_even_lattice():
-    with pytest.raises(ValueError, match="half-process"):
-        xi_series(ClaimDistribution.tabulated([F(1, 2), 0, F(1, 2)]), None, 5)
+    dist = ClaimDistribution.tabulated([F(1, 2), 0, F(1, 2)])
+    with pytest.raises(ValueError, match="phi_table"):
+        xi_series(dist, None, 5)
+    with pytest.raises(ValueError, match="phi_table"):
+        pi_values(dist)
 
 
 def test_xi_consistency_with_linear_combination():
