@@ -51,11 +51,3 @@ def float_str(x: float) -> str:
     """Serialize a float with 17 significant digits (lossless round-trip)."""
     return format(float(x), ".17g")
 
-
-def scalar_str(x) -> str:
-    """Serialize an int, Fraction, or float deterministically."""
-    if isinstance(x, Fraction):
-        return fraction_str(x)
-    if isinstance(x, int):
-        return str(x)
-    return float_str(x)

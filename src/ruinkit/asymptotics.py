@@ -198,15 +198,15 @@ def verify_sign_monotonicity(
     """Scan D_n for the sign/monotonicity pattern and report stabilization.
 
     The signs come from the integer scan that check_conjecture runs, over the
-    table's law and horizon.
+    table's own numerators.
     """
     strict = table.dist.is_primitive()
-    last = (len(table.d) - 1 - 3) // 2
+    last = (table.n_max - 4) // 2
     if last < 0:
         raise ValueError("table horizon too short: need D_0..D_3 at least")
     # pair n holds when the levels at 2n, 2n+1 and the steps from them do;
     # D_0 = 1 for every law, so the level at index 0 is compared non-strictly
-    level, step, _margins = _pattern_scan(table.dist, len(table.d) - 1)
+    level, step, _margins = _pattern_scan(table)
 
     def fails(sign, strict_here):
         return sign <= 0 if strict_here else sign < 0

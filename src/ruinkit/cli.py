@@ -15,6 +15,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -191,7 +192,8 @@ def _cmd_asympt(args) -> int:
     coeffs = asymptotics.compute_coefficients(dist, profile)
     table = recurrence.build_table(dist, args.n + 2)
     pattern = asymptotics.verify_sign_monotonicity(table, coeffs)
-    ratio = float(Fraction(table.d[args.n]) / Fraction(table.d[args.n - 2]))
+    # D_n / D_{n-2} = M_n / (q_0^4 M_{n-2}): one int/int quotient, rounded once
+    ratio = table.m[args.n] / (table.q0**4 * table.m[args.n - 2])
     results = {
         "a": coeffs.a,
         "b": coeffs.b,
@@ -298,24 +300,26 @@ def _verify_one(dist: ClaimDistribution, horizon: int) -> dict:
     # X and Y are defined by (H - s^2)X = H and (H - s^2)Y = h_0 s; as
     # h_0 != 0, a truncated table satisfies them exactly when it is the
     # series quotient.  H comes from the pmf, independently of the recurrence.
+    # Both sides are scaled to integers: H by the lcm L of its denominators,
+    # the table by S = q_0^(n_id+2): xs[n] = S x_n and xs[n+1] = r_0 S y_n / q_0.
     n_id = 60
     table = recurrence.build_table(dist, n_id + 2)
     h = dist.pmf_prefix(n_id)
-    den = list(h)
-    den[2] -= 1
+    lcm = math.lcm(*(v.denominator for v in h))
+    lh = [v.numerator * (lcm // v.denominator) for v in h]
+    den = lh[:2] + [lh[2] - lcm] + lh[3:]
+    q0, scale = table.q0, table.q0 ** (n_id + 2)
+    xs = [v * q0 ** (n_id + 1 - n) for n, v in enumerate(table.numerators[: n_id + 2])]
     # y read against h_0 s rather than through y_n = h_0 x_{n+1}
-    checks["y_identity"] = _times(den, table.y) == [0, h[0]] + [0] * (n_id - 1)
+    y_rhs = [0, lh[0] * table.r0 * q0 ** (n_id + 1)] + [0] * (n_id - 1)
+    checks["y_identity"] = _times(den, xs[1:]) == y_rhs
     checks["parity_monotone"] = all(
-        table.x[2 * n] >= 1 and table.x[2 * n + 2] >= table.x[2 * n]
-        for n in range(n_id // 2)
-    ) and all(
-        table.x[2 * n + 1] <= 0 and table.x[2 * n + 3] <= table.x[2 * n + 1]
-        for n in range(n_id // 2 - 1)
-    )
-    checks["series_matches_recurrence"] = _times(den, table.x) == h
+        xs[2 * n] >= scale and xs[2 * n + 2] >= xs[2 * n] for n in range(n_id // 2)
+    ) and all(xs[2 * n + 1] <= 0 and xs[2 * n + 3] <= xs[2 * n + 1] for n in range(n_id // 2 - 1))
+    checks["series_matches_recurrence"] = _times(den, xs) == [v * scale for v in lh]
     # (1 - s)G = H - s^2, coefficient by coefficient
     g = series.deflate_G(dist, n_id).coeffs
-    checks["deflation_identity"] = [g[0]] + [b - a for a, b in zip(g, g[1:])] == den
+    checks["deflation_identity"] = [lcm * (b - a) for a, b in zip((0,) + g, g)] == den
 
     if dist.is_primitive():
         profile = roots.root_profile(dist)

@@ -13,17 +13,17 @@ D_n = h_0 (x_n x_{n+2} - x_{n+1}^2).
 Every built-in law has a rational p.g.f. H = P/R with integer polynomials:
 R = L and P = L*H for finite support (L the lcm of the denominators), and
 P = a, R = b - (b-a)s for geometric(a/b).  With Q = P - s^2 R the sequence
-solves Q X = P, so build_table runs one short recurrence of order deg Q on
-the integer numerators N_n = q_0^(n+1) x_n through n_max + 1 and reads
-y_n and D_n off them (h_0 = q_0/R_0).  The cost is O(n * deg Q)
-big-integer multiply-adds, independent of the (possibly infinite) support,
-plus one gcd per returned entry when it becomes a reduced Fraction.
+solves Q X = P, so one recurrence of order deg Q gives the integer
+numerators N_n = q_0^(n+1) x_n in O(n * deg Q) big-integer multiply-adds,
+whatever the support.  A SequenceTable holds them with q_0 and r_0
+(h_0 = q_0/r_0), and everything else is a quotient of integers:
 
-The pattern check (check_conjecture, and the sign report of asymptotics)
-runs on the integer numerators alone: D_n = M_n / E_n with
-M_n = N_n N_{n+2} - N_{n+1}^2 and E_n = r_0 q_0^(2n+3) > 0, so every
-inequality of the pattern is the sign of an integer, and only the four
-reported margins are reduced to Fractions.
+    x_n = N_n / q_0^(n+1),   y_n = N_{n+1} / (r_0 q_0^(n+1)),
+    D_n = M_n / E_n,   M_n = N_n N_{n+2} - N_{n+1}^2,   E_n = r_0 q_0^(2n+3).
+
+Reduced Fractions, one gcd per entry, are formed only when a table's x, y
+or d lists are read.  The pattern check reads the M_n: as E_n > 0, every
+inequality of the pattern is the sign of an integer.
 
 D_n grows like alpha^n while being a difference of alpha^(2n)-sized products,
 so floating arithmetic would lose roughly one digit per unit of
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from ._scalars import EXACT
@@ -48,58 +49,60 @@ from .distributions import ClaimDistribution
 
 @dataclass
 class SequenceTable:
-    """Exact tables x_0..x_N, y_0..y_N and D_0..D_{N-1} (Fractions)."""
+    """The exact tables of one law through n_max = N, held as integers.
+
+    ``numerators`` holds N_0..N_{N+1}, and x_n, y_n and D_n are the integer
+    quotients of the module docstring, with q_0, r_0 > 0.  The Fraction
+    lists x_0..x_N, y_0..y_N and D_0..D_{N-1} are reduced on first read.
+    """
 
     dist: ClaimDistribution
-    x: list[Fraction]
-    y: list[Fraction]
-    d: list[Fraction]
+    numerators: list[int]
+    q0: int
+    r0: int
 
     @property
     def n_max(self) -> int:
-        return len(self.x) - 1
+        return len(self.numerators) - 2
+
+    @cached_property
+    def m(self) -> list[int]:
+        """M_0..M_{N-1}: D_n = M_n / (r_0 q_0^(2n+3))."""
+        big = self.numerators
+        return [big[n] * big[n + 2] - big[n + 1] ** 2 for n in range(self.n_max)]
+
+    @cached_property
+    def x(self) -> list[Fraction]:
+        return [Fraction(v, self.q0 ** (n + 1)) for n, v in enumerate(self.numerators[:-1])]
+
+    @cached_property
+    def y(self) -> list[Fraction]:
+        return [Fraction(v, self.r0 * self.q0 ** (n + 1)) for n, v in enumerate(self.numerators[1:])]
+
+    @cached_property
+    def d(self) -> list[Fraction]:
+        return [Fraction(v, self.r0 * self.q0 ** (2 * n + 3)) for n, v in enumerate(self.m)]
 
     def xf(self, n: int, shift: int = 0) -> float:
-        """x_n * 2**-shift as a float."""
-        # scale exactly, so that float() rounds once and overflows only when
-        # the scaled value does
-        v = self.x[n]
-        return float(v / (1 << shift)) if shift else float(v)
+        """x_n * 2**-shift as a float: one int/int division, which rounds
+        once and overflows only when the scaled value does."""
+        return self.numerators[n] / (self.q0 ** (n + 1) << shift)
 
     def x_exponent(self, n: int) -> int:
-        """An exponent e with |x_n| < 2**e."""
-        v = self.x[n]
-        return v.numerator.bit_length() - v.denominator.bit_length() + 1
+        """An exponent e with |x_n| < 2**e, from bit lengths."""
+        return self.numerators[n].bit_length() - (self.q0 ** (n + 1)).bit_length() + 1
 
 
 def build_table(dist: ClaimDistribution, n_max: int, mode: str = EXACT) -> SequenceTable:
-    """Fill x, y through n_max and D through n_max - 1, as Fractions.
+    """The exact table of x, y through n_max and D through n_max - 1.
 
-    y and D are read off the one x sequence.  ``mode`` accepts only "exact".
+    ``mode`` accepts only "exact"; it stays while the benchmark tracer binds it.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     if mode != EXACT:
         raise ValueError(f"unknown scalar mode {mode!r}")
-    p, r, q = _rational_pgf(dist)
-    q0 = q[0]
-    x = _numerators(p, q, n_max + 1)
-    # with h_0 = q0/r_0: D_n = (N_n N_{n+2} - N_{n+1}^2) / (r_0 q0^(2n+3))
-    d: list[Fraction] = []
-    den = r[0] * q0**3
-    for n in range(n_max):
-        d.append(Fraction(x[n] * x[n + 2] - x[n + 1] ** 2, den))
-        den *= q0 * q0
-    # y_n = N_{n+1} / (r_0 q0^(n+1)); replace numerators in place, so each
-    # is freed once its Fraction exists
-    y: list[Fraction] = []
-    den = q0
-    for n in range(n_max + 1):
-        y.append(Fraction(x[n + 1], r[0] * den))
-        x[n] = Fraction(x[n], den)
-        den *= q0
-    x.pop()
-    return SequenceTable(dist=dist, x=x, y=y, d=d)
+    return _integer_table(dist, n_max)
 
 
 def _rational_pgf(dist: ClaimDistribution) -> tuple[list[int], list[int], list[int]]:
@@ -118,17 +121,18 @@ def _rational_pgf(dist: ClaimDistribution) -> tuple[list[int], list[int], list[i
     return p, r, q
 
 
-def _numerators(p: list[int], q: list[int], n_max: int) -> list[int]:
-    """N_0..N_{n_max}, N_n = q_0^(n+1) x_n, from Q X = P.
+def _integer_table(dist: ClaimDistribution, n_max: int) -> SequenceTable:
+    """The numerator kernel: N_0..N_{n_max+1}, N_n = q_0^(n+1) x_n, from Q X = P.
 
     Scaling q_0 x_n = p_n - sum_k q_k x_{n-k} by q_0^n gives the integer
     recurrence N_n = p_n q_0^n - sum_k q_k q_0^(k-1) N_{n-k}.
     """
+    p, r, q = _rational_pgf(dist)
     q0 = q[0]
     steps = [(k, q[k] * q0 ** (k - 1)) for k in range(1, len(q)) if q[k]]
     out: list[int] = []
     scale = 1
-    for n in range(n_max + 1):
+    for n in range(n_max + 2):
         acc = 0
         if n < len(p):
             acc = p[n] * scale
@@ -138,7 +142,7 @@ def _numerators(p: list[int], q: list[int], n_max: int) -> list[int]:
                 break
             acc -= c * out[n - k]
         out.append(acc)
-    return out
+    return SequenceTable(dist, out, q0, r[0])
 
 
 @dataclass
@@ -172,7 +176,9 @@ def check_conjecture(dist: ClaimDistribution, n_max: int) -> ConjectureReport:
 
     The determinants are exact, so the verdict is certified.
     """
-    level, step, margins = _pattern_scan(dist, n_max)
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    level, step, margins = _pattern_scan(_integer_table(dist, n_max + 1))
     violations = [n for n, sign in enumerate(level) if sign < 0]
     violations += [n + 2 for n, sign in enumerate(step) if sign < 0]
     violation = min(violations) if violations else None
@@ -189,9 +195,10 @@ def check_conjecture(dist: ClaimDistribution, n_max: int) -> ConjectureReport:
 
 
 def _pattern_scan(
-    dist: ClaimDistribution, top: int
+    table: SequenceTable,
 ) -> tuple[list[int], list[int], tuple[Fraction, Fraction, Fraction, Fraction]]:
-    """Slack of the determinant pattern at every index of D_0..D_top.
+    """Slack of the determinant pattern at every index of the table's
+    D_0..D_top, top = n_max - 1.
 
     The level slack at n is D_n - 1 for even n and -1 - D_n for odd n; the
     step slack at n <= top - 2 is D_{n+2} - D_n for even n and D_n - D_{n+2}
@@ -200,13 +207,14 @@ def _pattern_scan(
     and the tightest even-level, odd-level, even-step and odd-step slack as
     Fractions (1 for a kind with no index).
 
-    Everything runs on integers: D_n = M_n / E_n with
-    M_n = N_n N_{n+2} - N_{n+1}^2 and E_n = r_0 q_0^(2n+3) > 0, so the
-    level slack at n is (M_n - E_n) / E_n or (-E_n - M_n) / E_n, and the
-    step slack ending at n is +-(M_n - q_0^4 M_{n-2}) / E_n, as
-    E_n = q_0^4 E_{n-2}.  Minima are kept as numerators over the current E_n.
+    Everything runs on the table's integers: D_n = M_n / E_n with
+    E_n = r_0 q_0^(2n+3) > 0, so the level slack at n is (M_n - E_n) / E_n
+    or (-E_n - M_n) / E_n, and the step slack ending at n is
+    +-(M_n - q_0^4 M_{n-2}) / E_n, as E_n = q_0^4 E_{n-2}.  Minima are kept
+    as numerators over the current E_n.
     """
-    m_all, e, q2 = _determinants(dist, top)
+    m_all, q2 = table.m, table.q0**2
+    e = table.r0 * table.q0**3
     q4 = q2 * q2
     level: list[int] = []
     step: list[int] = []
@@ -227,13 +235,3 @@ def _pattern_scan(
     margins = tuple(Fraction(1) if b is None else Fraction(b, e) for b in best)
     return level, step, margins
 
-
-def _determinants(dist: ClaimDistribution, top: int) -> tuple[list[int], int, int]:
-    """(M_0..M_top, E_0, q_0^2) with D_n = M_n / (E_0 q_0^(2n)) and E_0 > 0."""
-    if top < 1:
-        raise ValueError("n_max must be at least 1")
-    p, r, q = _rational_pgf(dist)
-    q0 = q[0]
-    big = _numerators(p, q, top + 2)
-    m = [big[n] * big[n + 2] - big[n + 1] ** 2 for n in range(top + 1)]
-    return m, r[0] * q0**3, q0 * q0

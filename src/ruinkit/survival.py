@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .distributions import ClaimDistribution
-from .recurrence import SequenceTable, _numerators, _rational_pgf, build_table
+from .recurrence import SequenceTable, _integer_table, build_table
 from .roots import RootProfile, find_alpha, refine_alpha, root_profile
 from .series import PowerSeries
 
@@ -103,21 +103,27 @@ class LimitEstimate:
 def initial_values_limit(table: SequenceTable, n: int) -> LimitEstimate:
     """phi(0) ~ (y_{n+1} - y_n)/D_n and phi(1) ~ (x_n - x_{n+1})/D_n.
 
-    Valid when E Z < 2 (so phi(infinity) = 1) and D_n != 0.  With an exact
-    table the ratios are exact rationals, floated only on return.
+    Valid when E Z < 2 (so phi(infinity) = 1), n >= 1 and D_n != 0.  On the
+    table's numerators (see recurrence) the ratios are the exact quotients
+    q_0^(n+1) (N_{n+2} - q_0 N_{n+1}) / M_n and
+    r_0 q_0^(n+1) (q_0 N_n - N_{n+1}) / M_n, each rounded once to a float.
     """
     if table.dist.mean() >= 2:
         raise ValueError("the ratio route requires E Z < 2 (phi(infinity) = 1)")
+    if n < 1:
+        raise ValueError(f"the ratio route needs n_limit (--n) >= 1, got {n}")
     if n + 1 > table.n_max:
         raise ValueError(f"table horizon {table.n_max} too short for n={n}")
+    big, q0 = table.numerators, table.q0
 
     def estimates(k: int) -> tuple[float, float]:
-        dk = table.d[k]
-        if dk == 0:
+        mk = table.m[k]
+        if mk == 0:
             raise ValueError(f"determinant vanishes at n={k}; pick another index")
-        p0 = (table.y[k + 1] - table.y[k]) / dk
-        p1 = (table.x[k] - table.x[k + 1]) / dk
-        return float(p0), float(p1)
+        scale = q0 ** (k + 1)
+        p0 = scale * (big[k + 2] - q0 * big[k + 1]) / mk
+        p1 = table.r0 * scale * (q0 * big[k] - big[k + 1]) / mk
+        return p0, p1
 
     phi0, phi1 = estimates(n)
     if n >= 2:
@@ -175,15 +181,14 @@ def phi_table(dist: ClaimDistribution, phi0, phi1, u_max: int) -> list[float]:
     """
     if u_max < 0:
         raise ValueError("u_max must be non-negative")
-    p, r, q = _rational_pgf(dist)
-    p0 = Fraction(phi0)
-    c1 = Fraction(phi1) / r[0]
-    big = _numerators(p, q, u_max + 1)
+    table = _integer_table(dist, u_max)
+    big, q0 = table.numerators, table.q0
+    p0, c1 = Fraction(phi0), Fraction(phi1) / table.r0
     out: list[float] = []
-    den = q[0]
+    den = q0
     for u in range(u_max + 1):
         out.append(float((big[u] * p0 + big[u + 1] * c1) / den))
-        den *= q[0]
+        den *= q0
     return out
 
 
@@ -319,7 +324,8 @@ def solve(
     values0 = [phi0]
     values1 = [phi1]
     if want_limit:
-        seq = build_table(dist, n_limit + 1)
+        # an n_limit below 1 reaches initial_values_limit, which names it
+        seq = build_table(dist, max(n_limit, 1) + 1)
         est = initial_values_limit(seq, n_limit)
         diagnostics["routes"]["limit_ratio"] = [est.phi0, est.phi1]
         diagnostics["limit_n_used"] = est.n_used

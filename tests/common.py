@@ -108,6 +108,17 @@ def reference_table(dist, n_max):
     return x, y, d
 
 
+def reference_limit(x, y, d, n):
+    """The ratio route at index n on reduced-Fraction tables: the floats of
+    (y_{n+1} - y_n)/D_n and (x_n - x_{n+1})/D_n."""
+    return float((y[n + 1] - y[n]) / d[n]), float((x[n] - x[n + 1]) / d[n])
+
+
+def reference_ratio(d, n):
+    """asympt's ratio estimate D_n / D_{n-2} on reduced Fractions, floated."""
+    return float(Fraction(d[n]) / Fraction(d[n - 2]))
+
+
 def pgf_series(dist, n_max):
     """H(s) as a truncated series: the pmf prefix itself."""
     return PowerSeries.of(dist.pmf_prefix(n_max))

@@ -162,6 +162,24 @@ def test_residuals_measure_the_remainder():
     assert all(v < 1e-12 for v in res[1:])
 
 
+def test_residuals_read_x_at_their_shift_exactly():
+    # alpha = 11, so x_300 ~ 11^300 passes 2^1020 and the residuals shift
+    dist = ClaimDistribution.tabulated([F(1, 12), F(5, 6), F(1, 12)])
+    table = build_table(dist, 300)
+    calls = []
+    xf = table.xf
+
+    def spy(n, shift=0):
+        calls.append((n, shift))
+        return xf(n, shift)
+
+    table.xf = spy
+    assert residuals_converged(table, _coeffs(dist))
+    assert len(calls) == 301 and max(shift for _, shift in calls) > 0
+    for n, shift in calls:
+        assert xf(n, shift) == float(table.x[n] / 2**shift)
+
+
 def test_margin_factor_identity_spot():
     for p in (F(1, 10), F(1, 4), F(1, 2), F(3, 4)):
         c = _coeffs(ClaimDistribution.geometric(p))

@@ -1,5 +1,7 @@
 """CLI: parsing, deterministic reports, exit codes, verify wiring."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,9 +9,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ruinkit import cli
+from ruinkit import ClaimDistribution, build_table, cli
 from ruinkit.distributions import DistributionError
+
+from common import laws, reference_ratio
 
 
 def run(capsys, argv):
@@ -224,6 +230,9 @@ def test_documented_errors_exit_one_with_one_line(capsys, monkeypatch):
     one_line_error(["dp", "--dist", '{"family": "geometric", "p": "1/2", "pmf": ["1/2", "1/2"]}',
                     "--horizon", "5"], "error: field(s) ['family', 'p'] conflict")
     one_line_error(["simulate", "--dist", "geometric(1/2)", "--horizon", "0"], "error: horizon")
+    for n in ("0", "-2"):
+        one_line_error(["solve", "--dist", "geometric(1/2)", "--route", "limit", "--n", n],
+                       "error: the ratio route needs n_limit (--n) >= 1")
 
     # a wrong phi(1) leaves the pi system unsolved, which its residual check sees
     closed_form = survival.initial_values_closed_form
@@ -245,6 +254,17 @@ def test_route_disagreement_exits_two(capsys, monkeypatch):
     assert code == 2
 
 
+@settings(max_examples=25, deadline=None)
+@given(dist=laws.filter(lambda d: d.is_primitive()), n=st.integers(4, 120))
+@example(dist=ClaimDistribution.tabulated(["1/12", "5/6", "1/12"]), n=120)
+def test_asympt_ratio_matches_reduced_fractions(dist, n):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["asympt", "--dist", json.dumps(dist.to_spec()), "--n", str(n)])
+    assert code == 0
+    ratio = float(json.loads(out.getvalue())["results"]["ratio_estimate"])
+    assert ratio == reference_ratio(build_table(dist, n + 2).d, n)
+
+
 def test_verify_matrix(capsys):
     code, out = run(capsys, ["verify", "--n", "40"])
     assert code == 0
@@ -261,12 +281,18 @@ def test_verify_flags_broken_identities(capsys, monkeypatch):
     from ruinkit import recurrence, series
 
     top = 60
-    build_table, deflate_G = recurrence.build_table, series.deflate_G
+    integer_table, deflate_G = recurrence._integer_table, series.deflate_G
 
     def table_with_bumped(seq):
-        def perturbed(dist, n_max, mode="exact"):
-            table = build_table(dist, n_max, mode)
-            getattr(table, seq)[top] += 1
+        # x_60 += 1 is N_60 += q_0^61 and y_60 += 1 is N_61 += r_0 q_0^61, in
+        # the table of horizon 62 that verify multiplies back
+        def perturbed(dist, n_max):
+            table = integer_table(dist, n_max)
+            if n_max == top + 2:
+                if seq == "x":
+                    table.numerators[top] += table.q0 ** (top + 1)
+                else:
+                    table.numerators[top + 1] += table.r0 * table.q0 ** (top + 1)
             return table
 
         return perturbed
@@ -277,8 +303,8 @@ def test_verify_flags_broken_identities(capsys, monkeypatch):
         return series.PowerSeries.of(g)
 
     cases = (
-        (recurrence, "build_table", table_with_bumped("x"), "series_matches_recurrence"),
-        (recurrence, "build_table", table_with_bumped("y"), "y_identity"),
+        (recurrence, "_integer_table", table_with_bumped("x"), "series_matches_recurrence"),
+        (recurrence, "_integer_table", table_with_bumped("y"), "y_identity"),
         (series, "deflate_G", bumped_G, "deflation_identity"),
     )
     for module, name, fake, check in cases:

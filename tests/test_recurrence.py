@@ -138,6 +138,19 @@ def test_exact_table_matches_reference_recurrence(dist, n_max):
 
 
 @settings(max_examples=60, deadline=None)
+@given(dist=laws, n_max=st.integers(2, 120), shift=st.integers(1, 1100))
+@example(dist=ClaimDistribution.tabulated([F(1, 12), F(5, 6), F(1, 12)]), n_max=120, shift=1)
+def test_float_reads_match_reduced_fractions(dist, n_max, shift):
+    t = build_table(dist, n_max)
+    for n, xn in enumerate(t.x):
+        e = t.x_exponent(n)
+        assert abs(xn) < 2**e
+        assert xn == 0 or abs(xn) > F(2) ** (e - 2)
+        assert t.xf(n) == float(xn)
+        assert t.xf(n, shift) == float(xn / 2**shift)
+
+
+@settings(max_examples=60, deadline=None)
 @given(dist=laws, n=st.integers(3, 150))
 @example(dist=ClaimDistribution.geometric(F(2, 7)), n=400)
 @example(dist=ClaimDistribution.even_lattice([F(2, 7), 0, 0, F(4, 7), F(1, 7)]), n=400)
@@ -181,19 +194,21 @@ def test_pattern_scan_reports_corrupted_determinants(dist, monkeypatch):
     # D_10 is pushed just below D_8 (an even step violation) and D_23 turns
     # positive (an odd level violation and two odd step violations)
     n = 40
-    real = recurrence._determinants
+    real = recurrence._integer_table
 
-    def corrupted(law, top):
-        m, e0, q2 = real(law, top)
-        m = list(m)
-        m[10] = q2 * q2 * m[8] - 1
+    def corrupted(law, n_max):
+        table = real(law, n_max)
+        m = list(table.m)
+        m[10] = table.q0**4 * m[8] - 1
         m[23] = -m[23]
-        return m, e0, q2
+        table.m = m
+        return table
 
-    m, e0, q2 = real(dist, n)
-    assert [F(v, e0 * q2**k) for k, v in enumerate(m)] == build_table(dist, n + 1).d
-    monkeypatch.setattr(recurrence, "_determinants", corrupted)
-    m, e0, q2 = corrupted(dist, n)
+    table = real(dist, n + 1)
+    e0, q2 = table.r0 * table.q0**3, table.q0**2
+    assert [F(v, e0 * q2**k) for k, v in enumerate(table.m)] == build_table(dist, n + 1).d
+    monkeypatch.setattr(recurrence, "_integer_table", corrupted)
+    m = corrupted(dist, n + 1).m
     d = [F(v, e0 * q2**k) for k, v in enumerate(m)]
     violation, margins, failures = naive_chain(d, strict=dist.is_primitive())
     assert violation == 10 and min(margins) < 0

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ruinkit import (
@@ -23,7 +23,14 @@ from ruinkit import (
     xi_series,
 )
 
-from common import even_lattice_laws, laws, reference_phi_half, reference_xi, survivable_fixtures
+from common import (
+    even_lattice_laws,
+    laws,
+    reference_limit,
+    reference_phi_half,
+    reference_xi,
+    survivable_fixtures,
+)
 
 F = Fraction
 
@@ -89,6 +96,24 @@ def test_limit_route_bounds():
     table = build_table(ClaimDistribution.geometric(F(1, 2)), 10)
     with pytest.raises(ValueError, match="horizon"):
         initial_values_limit(table, 10)
+    with pytest.raises(ValueError, match=r"n_limit \(--n\)"):
+        initial_values_limit(table, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dist=laws.filter(lambda d: d.mean() < 2), n=st.integers(1, 120))
+@example(dist=ClaimDistribution.tabulated(
+    [F(1, 2), F(5, 22), F(1, 11), F(1, 11), 0, 0, 0, F(1, 22), F(1, 22)]), n=60)
+def test_limit_route_matches_reduced_fractions(dist, n):
+    table = build_table(dist, n + 1)
+    x, y, d = table.x, table.y, table.d
+    assume(d[n] != 0 and (n < 2 or d[n - 2] != 0))
+    est = initial_values_limit(table, n)
+    phi0, phi1 = reference_limit(x, y, d, n)
+    assert (est.phi0, est.phi1) == (phi0, phi1)
+    if n >= 2:
+        prev0, prev1 = reference_limit(x, y, d, n - 2)
+        assert est.delta == max(abs(phi0 - prev0), abs(phi1 - prev1))
 
 
 def test_xi_bernoulli_all_ones():
