@@ -19,12 +19,13 @@ The determinants inherit D_n ~ (-1)^n h_0 a c_r (1+alpha)^2 n^(r-1) alpha^n
 when EZ <= 2 and D_n ~ (-1)^n h_0 a b (alpha+beta)^2 (alpha*beta)^n when
 EZ > 2, so |D_{n+2}/D_n| converges to alpha^2 or (alpha*beta)^2.
 
-For the geometric family the p.g.f. is rational and its second pole is real
-for every p != 1/3, at s = 1/beta with beta = alpha - 1 (beta < 1 when
-EZ < 2, i.e. the pole sits outside the closed disk).  Including that term
-makes the three-term expansion of x_n exact for the whole family, so the
-coefficients here carry it whenever it exists; for other laws with EZ <= 2
-no interior beta pole exists and b = 0, with the remainder folded into f_n.
+When R is linear, Q = P - s^2 R is a cubic and r = 1, as for the geometric
+family with p != 1/3, the third root 1/beta of Q is real, with
+1/beta = alpha q_0/q_3 by Vieta's product; for EZ < 2 it lies outside the
+closed disk (beta < 1).  Its term makes the three-term expansion of x_n
+exact, so the coefficients carry it whenever it exists; for other laws with
+EZ <= 2 no interior beta pole exists and b = 0, with the remainder folded
+into f_n.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .distributions import ClaimDistribution
+from .distributions import ClaimDistribution, _value
 from .recurrence import SequenceTable, _pattern_scan
-from .roots import RootProfile
+from .roots import RootProfile, refine_alpha
 
 #: relative residual floor for "expansion has converged" checks
 DEFAULT_RESIDUAL_EPS = 1e-9
@@ -63,26 +64,41 @@ class AsymptoticCoefficients:
 def compute_coefficients(dist: ClaimDistribution, roots: RootProfile) -> AsymptoticCoefficients:
     """Evaluate the closed-form partial-fraction coefficients.
 
-    Uses E Z, and H''(1) and H'''(1) on the critical-mean branch (r = 2);
-    every built-in law has all of them finite.
+    With H = P/R and Q = P - s^2 R, a and b are the residues -P(s)/(s Q'(s))
+    of X = P/Q at s = -1/alpha and s = 1/beta, exact at rational roots good
+    to 128 bits or more, rounded once.  c1 and c2 use E Z, and H''(1) and
+    H'''(1) on the critical-mean branch (r = 2), all finite.
     """
     if not dist.is_primitive():
         raise ValueError("expansion coefficients are defined for primitive laws only")
-    alpha = roots.alpha
     r = roots.r
     report = dist.pgf_derivatives_at_one(3 if r == 2 else 2)
     mean = report.mean
+    p, den, q = dist.rational_pgf
+    s_dq = [k * c for k, c in enumerate(q)]  # s Q'(s) = sum k q_k s^k
 
-    a = 1.0 / (2.0 + alpha * float(dist.pgf_derivative(-1.0 / alpha)))
+    def residue(n: int, d: int) -> float:
+        # -P(s)/(s Q'(s)) at s = n/d, the c of c/(1 - x/s) in X = P/Q, as one
+        # int/int quotient: _value(f, n, d) = f(n/d) d^(deg f)
+        return -_value(p, n, d) * d ** (len(q) - len(p)) / _value(s_dq, n, d)
 
+    alpha_rat = refine_alpha(dist, 128)
+    a = residue(-alpha_rat.denominator, alpha_rat.numerator)
     beta = roots.beta
-    if beta is None and dist.kind == "geometric" and r == 1:
-        # rational p.g.f.: the second pole persists at 1/beta outside the
-        # closed disk, with beta = alpha - 1 exactly
-        beta = alpha - 1.0
     b = 0.0
     if beta is not None:
-        b = 1.0 / (2.0 - beta * float(dist.pgf_derivative(1.0 / beta)))
+        # two Newton steps, each exact and then floored to a multiple of
+        # 2**-256, take s = 1/beta from a float to ~200 bits
+        d, n = beta.as_integer_ratio()
+        for _ in range(2):
+            slope = _value(s_dq, n, d)
+            n, d = (n * (slope - _value(q, n, d)) << 256) // (d * slope), 1 << 256
+        b = residue(n, d)
+    elif r == 1 and len(den) == 2 and len(q) == 4:
+        # a cubic Q has roots 1, -1/alpha and 1/beta, the last one outside
+        # the closed disk here; Vieta's product gives 1/beta = alpha q_0/q_3
+        n, d = alpha_rat.numerator * q[0], alpha_rat.denominator * q[3]
+        beta, b = d / n, residue(n, d)
 
     if r == 1:
         c1 = 1.0 / (2.0 - float(mean))
@@ -94,7 +110,7 @@ def compute_coefficients(dist: ClaimDistribution, roots: RootProfile) -> Asympto
         c1 = (2.0 * d3f - 12.0 * d2f + 24.0) / (3.0 * (d2f - 2.0) ** 2)
 
     return AsymptoticCoefficients(
-        a=a, b=b, c1=c1, c2=c2, r=r, alpha=alpha, beta=beta,
+        a=a, b=b, c1=c1, c2=c2, r=r, alpha=roots.alpha, beta=beta,
         h0=float(dist.hk(0)), mean=float(mean),
     )
 

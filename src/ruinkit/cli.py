@@ -299,7 +299,8 @@ def _verify_one(dist: ClaimDistribution, horizon: int) -> dict:
 
     # X and Y are defined by (H - s^2)X = H and (H - s^2)Y = h_0 s; as
     # h_0 != 0, a truncated table satisfies them exactly when it is the
-    # series quotient.  H comes from the pmf, independently of the recurrence.
+    # series quotient.  H is the law's pmf, read from the same pair (P, R)
+    # as the recurrence; the distributions tests tie that pair to the law.
     # Both sides are scaled to integers: H by the lcm L of its denominators,
     # the table by S = q_0^(n_id+2): xs[n] = S x_n and xs[n+1] = r_0 S y_n / q_0.
     n_id = 60

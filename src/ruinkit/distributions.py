@@ -1,22 +1,27 @@
 """Claim-size laws for the discrete-time risk model W(n) = u + 2n - sum(Z_i).
 
 A claim law is a non-negative integer random variable Z with probabilities
-h_k = P(Z = k), represented either as a finite tabulated pmf or as a named
-analytic family (Bernoulli, Geometric).  Everything downstream needs exactly
-four things from Z: rational pmf prefixes h_0..h_n, the probability
-generating function H(s) = sum h_k s^k and its derivatives, moments at s = 1,
-and primitivity (whether any odd-index probability is positive).
+h_k = P(Z = k), built from a finite tabulated pmf, an even-lattice doubling
+of one, or a named family (Bernoulli, Geometric).  Every such law has a
+rational p.g.f. H(s) = sum h_k s^k = P(s)/R(s) with integer polynomials:
+R = L and P = L*H for finite support (L the lcm of the denominators), and
+P = a, R = b - (b-a)s for geometric(a/b).  The construction record is read
+once, to build the pair (P, R) and Q = P - s^2 R (``rational_pgf``); the
+pmf prefixes, tail masses, p.g.f. values, derivatives and moments at s = 1,
+and primitivity (whether any odd-index probability is positive) are all
+derived from the pair.
 
 Two construction invariants are enforced: h_0 > 0 (otherwise the model order
 can be reduced by shifting every claim down by one) and P(Z = 2) < 1 (the
 degenerate law makes the surplus constant and the whole analysis trivial).
 """
-
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate, zip_longest
 
 from ._scalars import RationalLike, as_fraction, fraction_str
 
@@ -59,8 +64,9 @@ class ClaimDistribution:
     """Immutable claim law; construct via the classmethods below.
 
     kind is one of "tabulated", "bernoulli", "geometric", "even_lattice".
-    Tabulated and even-lattice laws carry their full pmf; the named families
-    carry the success parameter p and answer everything in closed form.
+    Tabulated and even-lattice laws record their full pmf, the named families
+    their success parameter p; everything else is derived from the integer
+    pair ``rational_pgf`` built from that record.
     """
 
     kind: str
@@ -131,58 +137,68 @@ class ClaimDistribution:
         if self.hk(2) >= 1:
             raise DistributionError("degenerate law P(Z=2) = 1 is excluded")
 
-    # -- pmf access ------------------------------------------------------
+    # -- the integer pair and pmf access ------------------------------------
+
+    @cached_property
+    def rational_pgf(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """Integer coefficients (lowest degree first) of P, R and Q = P - s^2 R,
+        with H = P/R, R(0) > 0 and no trailing zero in P."""
+        if self.kind == "geometric":
+            a, b = self.p.numerator, self.p.denominator
+            p, r = [a], [b, a - b]
+        else:
+            h = [1 - self.p, self.p] if self.kind == "bernoulli" else list(self.pmf)
+            while not h[-1]:
+                h.pop()
+            lcm = math.lcm(*(v.denominator for v in h))
+            p, r = [v.numerator * (lcm // v.denominator) for v in h], [lcm]
+        q = p + [0] * (len(r) + 2 - len(p))
+        for k, rk in enumerate(r):
+            q[k + 2] -= rk
+        return tuple(p), tuple(r), tuple(q)
 
     def hk(self, k: int) -> Fraction:
-        """Exact probability h_k = P(Z = k)."""
-        if k < 0:
-            raise ValueError("claim sizes are non-negative")
-        if self.kind == "bernoulli":
-            if k == 0:
-                return 1 - self.p
-            return self.p if k == 1 else Fraction(0)
-        if self.kind == "geometric":
-            return self.p * (1 - self.p) ** k
-        return self.pmf[k] if k < len(self.pmf) else Fraction(0)
+        """Exact probability h_k = P(Z = k), k >= 0."""
+        return self.pmf_prefix(k)[k]
 
     def pmf_prefix(self, n: int) -> list[Fraction]:
         """Exact rationals h_0..h_n (zero-padded beyond finite support)."""
         if n < 0:
             raise ValueError("prefix length must be non-negative")
-        if self.kind == "geometric":
-            q = 1 - self.p
-            out = [self.p]
-            for _ in range(n):
-                out.append(out[-1] * q)
-            return out
-        return [self.hk(k) for k in range(n + 1)]
+        p, r, _q = self.rational_pgf
+        return _series(p, r, n)
 
     @property
     def support_bound(self) -> int | None:
-        """Largest k with h_k > 0, or None for infinite support."""
-        if self.kind == "geometric":
-            return None
-        if self.kind == "bernoulli":
-            return 1
-        last = 0
-        for k, v in enumerate(self.pmf):
-            if v:
-                last = k
-        return last
+        """Largest k with h_k > 0 (deg P for constant R), or None for
+        infinite support."""
+        p, r, _q = self.rational_pgf
+        return len(p) - 1 if len(r) == 1 else None
 
     def tail_mass(self, k: int) -> Fraction:
-        """Exact P(Z > k) = 1 - (h_0 + ... + h_k); (1 - p)^(k+1) for the
-        geometric law, whose long prefix sums cost far more in Fractions."""
-        if self.kind == "geometric":
-            return (1 - self.p) ** (k + 1)
-        return 1 - sum(self.pmf_prefix(k))
+        """Exact P(Z > k): coefficient k of U/R, where U = (R - P)/(1 - s)
+        holds the partial sums of R - P, a polynomial as R(1) = P(1).
+
+        Past deg U a linear R leaves one pole: each step multiplies by
+        theta = -r_1/r_0, so the tail there is one power, not a long series.
+        """
+        p, r, _q = self.rational_pgf
+        u = list(accumulate(a - b for a, b in zip_longest(r, p, fillvalue=0)))[:-1]
+        top = len(u) - 1
+        if k > top and len(r) == 2:
+            return _series(u, r, top)[top] * Fraction(-r[1], r[0]) ** (k - top)
+        return _series(u, r, k)[k]
 
     def truncation_index(self) -> int:
         """Smallest K with P(Z > K) < TAIL_EPSILON; identity on finite support."""
         if self.support_bound is not None:
             return self.support_bound
-        # solve q^(K+1) < TAIL_EPSILON exactly by stepping from a log estimate
-        k = max(0, int(math.log(TAIL_EPSILON) / math.log(float(1 - self.p))) - 2)
+        # the tail is c theta^k from k = deg U on (see tail_mass): step up
+        # exactly from one short of the log estimate of its crossing
+        p, r, _q = self.rational_pgf
+        top, log_theta = max(len(p), len(r)) - 2, math.log(Fraction(-r[1], r[0]))
+        log_c = math.log(self.tail_mass(top)) - top * log_theta
+        k = max(0, int((math.log(TAIL_EPSILON) - log_c) / log_theta) - 1)
         while self.tail_mass(k) >= TAIL_EPSILON:
             k += 1
         return k
@@ -190,88 +206,55 @@ class ClaimDistribution:
     # -- generating function ----------------------------------------------
 
     def pgf(self, s):
-        """H(s) = sum h_k s^k for |s| <= 1.
-
-        Exact for Fraction arguments, floating for float arguments.  Named
-        families evaluate their closed forms (q + p s, p/(1 - q s)); tabulated
-        laws evaluate their polynomial by Horner's rule.
-        """
+        """H(s) = P(s)/R(s) for |s| <= 1, as one quotient of integers: exact
+        for Fraction arguments; a float argument is evaluated exactly and the
+        result rounded once."""
         if isinstance(s, float) and not -1.0 <= s <= 1.0:
             raise ValueError(f"p.g.f. evaluated only on [-1, 1], got {s}")
-        if self.kind == "bernoulli":
-            return (1 - self.p) + self.p * s
-        if self.kind == "geometric":
-            q = 1 - self.p
-            return self.p / (1 - q * s)
-        acc = self.pmf[-1] * 1  # keep Fraction/float promotion symmetric
-        for c in reversed(self.pmf[:-1]):
-            acc = acc * s + c
-        return acc
+        n, d = s.as_integer_ratio()
+        p, r, _q = self.rational_pgf
+        value = Fraction(_value(p, n, d) * d ** (len(r) - 1), _value(r, n, d) * d ** (len(p) - 1))
+        return float(value) if isinstance(s, float) else value
 
-    def pgf_derivative(self, s, order: int = 1):
-        """H^(order)(s) for |s| <= 1; exact for Fraction arguments."""
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if self.kind == "bernoulli":
-            if order == 1:
-                return self.p * 1 if isinstance(s, Fraction) else float(self.p)
-            return Fraction(0) if isinstance(s, Fraction) else 0.0
-        if self.kind == "geometric":
-            q = 1 - self.p
-            value = self.p * math.factorial(order) * q**order / (1 - q * s) ** (order + 1)
-            return value
-        coeffs = [
-            self.pmf[n] * math.perm(n, order)
-            for n in range(order, len(self.pmf))
-        ]
-        if not coeffs:
-            return Fraction(0) if isinstance(s, Fraction) else 0.0
-        acc = coeffs[-1] * 1
-        for c in reversed(coeffs[:-1]):
-            acc = acc * s + c
-        return acc
+    @cached_property
+    def _derivatives_at_one(self) -> tuple[Fraction, ...]:
+        """H^(j)(1) for 1 <= j <= 4: j! times the Taylor coefficients of
+        P(1 + t)/R(1 + t), whose constant term R(1) = P(1) is positive."""
+        p, r = (
+            [sum(c * math.comb(k, j) for k, c in enumerate(f)) for j in range(5)]
+            for f in self.rational_pgf[:2]
+        )
+        taylor = _series(p, r, 4)
+        return tuple(math.factorial(j) * taylor[j] for j in range(1, 5))
 
     def pgf_derivatives_at_one(self, max_order: int = 4) -> MomentReport:
         """Derivatives H^(j)(1), 1 <= j <= max_order, and the moments E Z^j,
-        all exact: every kind has finite moments of every order."""
+        all exact: every law with a rational p.g.f. has finite moments of
+        every order."""
         if max_order not in (1, 2, 3, 4):
             raise ValueError("max_order must be between 1 and 4")
-        if self.kind == "bernoulli":
-            derivs = [self.p, Fraction(0), Fraction(0), Fraction(0)]
-        elif self.kind == "geometric":
-            ratio = (1 - self.p) / self.p
-            derivs = [math.factorial(k) * ratio**k for k in range(1, 5)]
-        else:
-            derivs = [
-                sum(
-                    (self.pmf[n] * math.perm(n, j) for n in range(j, len(self.pmf))),
-                    Fraction(0),
-                )
-                for j in range(1, 5)
-            ]
-        derivs = derivs[:max_order]
-        d = derivs + [None] * (4 - len(derivs))
+        d = self._derivatives_at_one[:max_order] + (None,) * (4 - max_order)
         mean = d[0]
         m2 = d[1] + d[0] if d[1] is not None else None
         m3 = d[2] + 3 * d[1] + d[0] if d[2] is not None else None
         m4 = d[3] + 6 * d[2] + 7 * d[1] + d[0] if d[3] is not None else None
-        return MomentReport(mean=mean, m2=m2, m3=m3, m4=m4, derivatives=tuple(derivs))
+        return MomentReport(mean=mean, m2=m2, m3=m3, m4=m4, derivatives=d[:max_order])
 
     def mean(self) -> Fraction:
         """E Z = H'(1), exact."""
-        return self.pgf_derivatives_at_one(1).mean
+        return self._derivatives_at_one[0]
 
     # -- structure ---------------------------------------------------------
 
     def is_primitive(self) -> bool:
-        """True iff P(Z odd) > 0, i.e. H(s) - s^2 has no lattice reduction.
-
-        Named families answer analytically (h_1 = pq > 0 in both); tabulated
-        laws scan their finite support.
-        """
-        if self.kind in ("bernoulli", "geometric"):
-            return True
-        return any(self.pmf[k] for k in range(1, len(self.pmf), 2))
+        """True iff P(Z odd) > 0, i.e. H(s) - s^2 has no lattice reduction:
+        iff H(s) != H(-s), i.e. iff F(s) = P(s)R(-s) has an odd coefficient."""
+        p, r, _q = self.rational_pgf
+        f = [0] * (len(p) + len(r) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(r):
+                f[i + j] += a * b * (-1) ** j
+        return any(f[1::2])
 
     # -- serialization -------------------------------------------------------
 
@@ -330,3 +313,29 @@ class ClaimDistribution:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.label()
+
+
+def _series(num, den, n: int) -> list[Fraction]:
+    """Coefficients 0..n of num/den, for integer coefficient lists (lowest
+    degree first) with den[0] != 0: num_k/den_0 plus one Fraction product
+    per nonzero den_j, j >= 1, by the factor -den_j/den_0 formed once, so
+    each product reduces through gcds with a small integer on one side."""
+    factors = [(j, Fraction(-c, den[0])) for j, c in enumerate(den) if j and c]
+    out: list[Fraction] = []
+    for k in range(n + 1):
+        acc = Fraction(num[k], den[0]) if k < len(num) else None
+        for j, c in factors:
+            if j <= k:
+                acc = out[k - j] * c if acc is None else acc + out[k - j] * c
+        out.append(Fraction(0) if acc is None else acc)
+    return out
+
+
+def _value(poly, num: int, den: int) -> int:
+    """poly(num/den)·den^(deg poly), by homogeneous Horner in integers; for
+    den > 0 it has the sign of poly(num/den)."""
+    acc, scale = poly[-1], 1
+    for c in reversed(poly[:-1]):
+        scale *= den
+        acc = acc * num + c * scale
+    return acc

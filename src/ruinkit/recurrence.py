@@ -10,9 +10,8 @@ the identity y_n = h_0 x_{n+1} (Y(s) = h_0 s/(H - s^2)), and the 2x2
 determinants D_n = x_n y_{n+1} - x_{n+1} y_n take the Hankel form
 D_n = h_0 (x_n x_{n+2} - x_{n+1}^2).
 
-Every built-in law has a rational p.g.f. H = P/R with integer polynomials:
-R = L and P = L*H for finite support (L the lcm of the denominators), and
-P = a, R = b - (b-a)s for geometric(a/b).  With Q = P - s^2 R the sequence
+A law is read only through its integer pair H = P/R
+(``ClaimDistribution.rational_pgf``).  With Q = P - s^2 R the sequence
 solves Q X = P, so one recurrence of order deg Q gives the integer
 numerators N_n = q_0^(n+1) x_n in O(n * deg Q) big-integer multiply-adds,
 whatever the support.  A SequenceTable holds them with q_0 and r_0
@@ -39,7 +38,6 @@ pattern but implements no acceleration.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -105,29 +103,13 @@ def build_table(dist: ClaimDistribution, n_max: int, mode: str = EXACT) -> Seque
     return _integer_table(dist, n_max)
 
 
-def _rational_pgf(dist: ClaimDistribution) -> tuple[list[int], list[int], list[int]]:
-    """Integer coefficient lists (lowest degree first) of P, R and
-    Q = P - s^2 R, where H = P/R."""
-    if dist.kind == "geometric":
-        a, b = dist.p.numerator, dist.p.denominator
-        p, r = [a], [b, a - b]
-    else:
-        h = dist.pmf_prefix(dist.support_bound)
-        lcm = math.lcm(*(v.denominator for v in h))
-        p, r = [v.numerator * (lcm // v.denominator) for v in h], [lcm]
-    q = p + [0] * (len(r) + 2 - len(p))
-    for k, rk in enumerate(r):
-        q[k + 2] -= rk
-    return p, r, q
-
-
 def _integer_table(dist: ClaimDistribution, n_max: int) -> SequenceTable:
     """The numerator kernel: N_0..N_{n_max+1}, N_n = q_0^(n+1) x_n, from Q X = P.
 
     Scaling q_0 x_n = p_n - sum_k q_k x_{n-k} by q_0^n gives the integer
     recurrence N_n = p_n q_0^n - sum_k q_k q_0^(k-1) N_{n-k}.
     """
-    p, r, q = _rational_pgf(dist)
+    p, r, q = dist.rational_pgf
     q0 = q[0]
     steps = [(k, q[k] * q0 ** (k - 1)) for k in range(1, len(q)) if q[k]]
     out: list[int] = []

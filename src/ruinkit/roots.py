@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .distributions import ClaimDistribution
-from .recurrence import _rational_pgf
+from .distributions import ClaimDistribution, _value
 
 #: halvings behind the float roots: a bracket of width 2**-64 in s pins
 #: alpha and beta far below binary64 resolution before their one rounding
@@ -56,7 +55,7 @@ class RootProfile:
     dist: ClaimDistribution
 
 
-def _q(dist: ClaimDistribution) -> list[int]:
+def _q(dist: ClaimDistribution) -> tuple[int, ...]:
     """Coefficients of Q (lowest degree first) for a primitive law.
 
     On the even lattice H(s) - s^2 = H1(s^2) - s^2 need not change sign on
@@ -66,17 +65,7 @@ def _q(dist: ClaimDistribution) -> list[int]:
         raise RootLocationError(
             "imprimitive claim law: roots are not used; solve takes the alpha-free closed form"
         )
-    return _rational_pgf(dist)[2]
-
-
-def _value(q: list[int], num: int, den: int) -> int:
-    """Q(num/den)·den^(deg Q), by homogeneous Horner in integers; for
-    den > 0 it has the sign of Q(num/den)."""
-    acc, scale = q[-1], 1
-    for c in reversed(q[:-1]):
-        scale *= den
-        acc = acc * num + c * scale
-    return acc
+    return dist.rational_pgf[2]
 
 
 def _bisect(q: list[int], lo: int, hi: int, steps: int) -> tuple[Fraction, Fraction]:
@@ -136,7 +125,7 @@ def vanishing_order(dist: ClaimDistribution) -> int:
     by s - 1 leaves minus the partial sums: Q = (s - 1) sum_i -(q_0 + ... +
     q_i) s^i.  A third factor would force the excluded degenerate law Z = 2.
     """
-    q = _rational_pgf(dist)[2]
+    q = dist.rational_pgf[2]
     r = 0
     while sum(q) == 0:
         r += 1
@@ -152,8 +141,7 @@ def interior_sign_changes(dist: ClaimDistribution) -> int:
     They are the roots of Q = P - s^2 R there; a Sturm count on (-1, 1]
     finds them plus the root at s = 1 that every law has.
     """
-    _p, _r, q = _rational_pgf(dist)
-    return _sturm_count(q) - 1
+    return _sturm_count(dist.rational_pgf[2]) - 1
 
 
 def _sturm_count(poly: list[int]) -> int:
@@ -239,15 +227,16 @@ def root_profile(dist: ClaimDistribution) -> RootProfile:
 
 
 def alpha_residual(dist: ClaimDistribution, alpha: float) -> float:
-    """|H(-1/alpha) - 1/alpha^2|, the defining-equation residual."""
-    s = -1.0 / alpha
-    return abs(float(dist.pgf(s)) - s * s)
+    """|H(-1/alpha) - 1/alpha^2| = |Q/R| at the float root, the
+    defining-equation residual, evaluated exactly and rounded once."""
+    s = -1 / Fraction(alpha)
+    return abs(float(dist.pgf(s) - s * s))
 
 
 def beta_residual(dist: ClaimDistribution, beta: float) -> float:
-    """|H(1/beta) - 1/beta^2| for the positive interior root."""
-    s = 1.0 / beta
-    return abs(float(dist.pgf(s)) - s * s)
+    """|H(1/beta) - 1/beta^2| for the positive interior root, as above."""
+    s = 1 / Fraction(beta)
+    return abs(float(dist.pgf(s) - s * s))
 
 
 def refine_alpha(dist: ClaimDistribution, bits: int = 256) -> Fraction:

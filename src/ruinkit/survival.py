@@ -265,12 +265,14 @@ def solve(
     with the maximum pairwise disagreement ``max_route_delta``.  Every regime
     takes the same path and records that delta: when E Z >= 2 every route
     gives zero, the ratio route is skipped (it needs phi(infinity) = 1) and
-    the delta is 0.
+    the delta is 0, though an n_limit below 1 is rejected in every regime.
     """
     if route not in (ROUTE_CLOSED, ROUTE_LIMIT, ROUTE_XI, ROUTE_ALL):
         raise ValueError(f"unknown route {route!r}")
     if u_max < 0:
         raise ValueError("u_max must be non-negative")
+    if route in (ROUTE_LIMIT, ROUTE_ALL) and n_limit < 1:
+        raise ValueError(f"the ratio route needs n_limit (--n) >= 1, got {n_limit}")
     reg = regime(dist)
     primitive = dist.is_primitive()
     # the ratio route needs phi(infinity) = 1, i.e. E Z < 2
@@ -324,8 +326,7 @@ def solve(
     values0 = [phi0]
     values1 = [phi1]
     if want_limit:
-        # an n_limit below 1 reaches initial_values_limit, which names it
-        seq = build_table(dist, max(n_limit, 1) + 1)
+        seq = build_table(dist, n_limit + 1)
         est = initial_values_limit(seq, n_limit)
         diagnostics["routes"]["limit_ratio"] = [est.phi0, est.phi1]
         diagnostics["limit_n_used"] = est.n_used

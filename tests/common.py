@@ -60,6 +60,17 @@ def survivable_fixtures():
     return [d for d in all_fixtures() if d.mean() < 2]
 
 
+def reference_pmf(dist, n):
+    """h_0..h_n from the law's construction record, not from its pair (P, R):
+    the closed forms of the Bernoulli and geometric families, the recorded
+    pmf tuple (zero-padded) otherwise."""
+    if dist.kind == "bernoulli":
+        return ([1 - dist.p, dist.p] + [Fraction(0)] * n)[: n + 1]
+    if dist.kind == "geometric":
+        return [dist.p * (1 - dist.p) ** k for k in range(n + 1)]
+    return (list(dist.pmf) + [Fraction(0)] * (n + 1))[: n + 1]
+
+
 def enumerate_survival(dist, u, horizon, claim_cap):
     """Exact finite-horizon survival by brute-force path enumeration.
 

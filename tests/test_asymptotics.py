@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from ruinkit import (
     ClaimDistribution,
@@ -15,13 +16,14 @@ from ruinkit import (
     margin_factor_from_coefficients,
     predict_Dn,
     predict_xn,
+    refine_alpha,
     root_profile,
     verify_sign_monotonicity,
     xn_residuals,
 )
 from ruinkit.asymptotics import residuals_converged
 
-from common import bernoulli_fixtures, primitive_fixtures
+from common import bernoulli_fixtures, laws, primitive_fixtures, reference_pmf
 
 F = Fraction
 
@@ -253,3 +255,43 @@ def test_margin_factor_requires_beta():
     c = _coeffs(ClaimDistribution.bernoulli(F(1, 2)))
     with pytest.raises(ValueError):
         margin_factor_from_coefficients(c)
+
+
+def _reference_h_prime(dist, s):
+    """H'(s) from the construction record: the geometric closed form, or the
+    derivative of the pmf polynomial."""
+    if dist.kind == "geometric":
+        q = 1 - dist.p
+        return dist.p * q / (1 - q * s) ** 2
+    h = reference_pmf(dist, 1 if dist.kind == "bernoulli" else len(dist.pmf) - 1)
+    return sum(k * v * s ** (k - 1) for k, v in enumerate(h) if k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dist=laws.filter(lambda d: d.is_primitive()))
+def test_residues_are_correctly_rounded(dist):
+    # a = 1/(2 + alpha H'(-1/alpha)) and b = 1/(2 - beta H'(1/beta)), exact
+    # at 600-bit roots: the coefficients may differ from their floats by at
+    # most one ulp
+    profile = root_profile(dist)
+    coeffs = compute_coefficients(dist, profile)
+    alpha = refine_alpha(dist, 600)
+    want = float(1 / (2 + alpha * _reference_h_prime(dist, -1 / alpha)))
+    assert abs(coeffs.a - want) <= math.ulp(want)
+    if profile.beta is not None:
+        # one sign change of H(s) - s^2 in (0, 1), from h_0 > 0 to negative
+        lo, hi = Fraction(0), Fraction(1)
+        for _ in range(600):
+            mid = (lo + hi) / 2
+            if dist.pgf(mid) - mid * mid > 0:
+                lo = mid
+            else:
+                hi = mid
+        beta = 2 / (lo + hi)
+    elif dist.kind == "geometric" and profile.r == 1:
+        beta = alpha - 1  # the pole outside the closed disk
+    else:
+        assert coeffs.b == 0.0
+        return
+    want = float(1 / (2 - beta * _reference_h_prime(dist, 1 / beta)))
+    assert abs(coeffs.b - want) <= math.ulp(want)

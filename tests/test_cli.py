@@ -230,9 +230,11 @@ def test_documented_errors_exit_one_with_one_line(capsys, monkeypatch):
     one_line_error(["dp", "--dist", '{"family": "geometric", "p": "1/2", "pmf": ["1/2", "1/2"]}',
                     "--horizon", "5"], "error: field(s) ['family', 'p'] conflict")
     one_line_error(["simulate", "--dist", "geometric(1/2)", "--horizon", "0"], "error: horizon")
-    for n in ("0", "-2"):
-        one_line_error(["solve", "--dist", "geometric(1/2)", "--route", "limit", "--n", n],
-                       "error: the ratio route needs n_limit (--n) >= 1")
+    # geometric(1/4) has E Z = 3 > 2, where the ratio route itself is skipped
+    for law in ("geometric(1/2)", "geometric(1/4)"):
+        for n in ("0", "-2"):
+            one_line_error(["solve", "--dist", law, "--route", "limit", "--n", n],
+                           "error: the ratio route needs n_limit (--n) >= 1")
 
     # a wrong phi(1) leaves the pi system unsolved, which its residual check sees
     closed_form = survival.initial_values_closed_form

@@ -1,13 +1,15 @@
 """Claim-law construction, pmf access, p.g.f. values, moments, primitivity."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from ruinkit import ClaimDistribution, DistributionError
 from ruinkit.distributions import TAIL_EPSILON
 
-from common import all_fixtures
+from common import all_fixtures, laws, reference_pmf
 
 F = Fraction
 
@@ -141,10 +143,13 @@ def test_float_parameters_rejected():
 
 
 def test_truncation_index_geometric():
-    dist = ClaimDistribution.geometric(F(1, 2))
-    k = dist.truncation_index()
-    assert F(1, 2) ** (k + 1) < F(1, 10**16)
-    assert F(1, 2) ** k >= TAIL_EPSILON / 2  # not absurdly deep
+    # p = 1/3000 puts K past 10^5, where stepping the tail one exact term at
+    # a time would take tens of seconds
+    for p, want in ((F(1, 2), 53), (F(1, 3000), 110505)):
+        k = ClaimDistribution.geometric(p).truncation_index()
+        assert k == want
+        assert (1 - p) ** (k + 1) < F(1, 10**16)
+        assert (1 - p) ** k >= TAIL_EPSILON / 2  # not absurdly deep
 
 
 def test_tail_mass_is_the_exact_prefix_complement():
@@ -180,3 +185,38 @@ def test_from_spec_rejects_unknown_and_conflicting_fields():
     for spec, message in bad:
         with pytest.raises(DistributionError, match=message):
             ClaimDistribution.from_spec(spec)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dist=laws)
+def test_pair_reproduces_the_law(dist):
+    # The recurrence, the roots and verify's own H all read the integer pair
+    # (P, R) of rational_pgf, so verify cannot see a wrong pair: this test,
+    # against the construction record, is what ties the pair to the law.
+    geometric = dist.kind == "geometric"
+    q = 1 - dist.p if geometric else None
+    ref = reference_pmf(dist, 12)
+    assert dist.pmf_prefix(12) == ref
+    assert [dist.hk(k) for k in range(13)] == ref
+
+    k_cut = dist.truncation_index()
+    for k in (0, 1, 5, k_cut):
+        want = q ** (k + 1) if geometric else 1 - sum(reference_pmf(dist, k))
+        assert dist.tail_mass(k) == want, k
+    if geometric:
+        assert dist.tail_mass(k_cut) < TAIL_EPSILON <= dist.tail_mass(k_cut - 1)
+        assert dist.support_bound is None
+        derivs = tuple(math.factorial(j) * (q / dist.p) ** j for j in range(1, 5))
+        odd_mass = q / (1 + q)
+    else:
+        h = reference_pmf(dist, 1 if dist.kind == "bernoulli" else len(dist.pmf) - 1)
+        assert dist.support_bound == max(k for k, v in enumerate(h) if v)
+        derivs = tuple(sum(v * math.perm(k, j) for k, v in enumerate(h)) for j in range(1, 5))
+        odd_mass = sum(h[1::2])
+    assert dist.pgf_derivatives_at_one(4).derivatives == derivs
+    assert dist.mean() == derivs[0]
+    assert dist.is_primitive() == (odd_mass > 0)
+
+    for s in (F(-1), F(-1, 2), F(0), F(1, 3), F(1)):
+        want = dist.p / (1 - q * s) if geometric else sum(v * s**k for k, v in enumerate(h))
+        assert dist.pgf(s) == want
