@@ -10,7 +10,7 @@ and the coefficients of the survival generating function.
 
 from fractions import Fraction
 
-from ruinkit import ClaimDistribution, build_table, initial_values_limit, solve, xi_series
+from ruinkit import ClaimDistribution, build_table, initial_values_limit, solve
 
 F = Fraction
 
@@ -34,8 +34,7 @@ def main() -> None:
             lim = routes["limit_ratio"]
             print(f"   ratio route (n=60):      {lim[0]:.12f}   {lim[1]:.12f}")
         if sol.regime == "survivable" and dist.is_primitive():
-            xi = xi_series(dist, None, 1)
-            print(f"   generating function:     xi_0 = phi(1) = {xi[0]:.12f}")
+            print(f"   generating function:     xi_0 = phi(1) = {sol.xi[0]:.12f}")
             table = build_table(dist, 31)
             est = initial_values_limit(table, 30)
             print(f"   ratio route at n=30 differs by {est.delta:.2e} from n=28")

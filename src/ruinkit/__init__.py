@@ -25,13 +25,11 @@ from .recurrence import ConjectureReport, SequenceTable, build_table, check_conj
 from .roots import (
     RootLocationError,
     RootProfile,
-    find_alpha,
-    find_beta,
     refine_alpha,
     root_profile,
     vanishing_order,
 )
-from .series import PowerSeries, deflate_G
+from .series import deflate_G
 from .survival import (
     LimitEstimate,
     SurvivalSolution,
@@ -41,7 +39,6 @@ from .survival import (
     pi_values,
     regime,
     solve,
-    xi_series,
 )
 
 __version__ = "0.1.0"
@@ -57,7 +54,6 @@ __all__ = [
     "MCConfig",
     "MCResult",
     "MomentReport",
-    "PowerSeries",
     "RootLocationError",
     "RootProfile",
     "SequenceTable",
@@ -67,8 +63,6 @@ __all__ = [
     "compute_coefficients",
     "deflate_G",
     "determinant_ratio_limit",
-    "find_alpha",
-    "find_beta",
     "finite_horizon_dp",
     "geometric_margin_factor",
     "geometric_partial_fraction",
@@ -86,6 +80,5 @@ __all__ = [
     "solve",
     "vanishing_order",
     "verify_sign_monotonicity",
-    "xi_series",
     "xn_residuals",
 ]

@@ -224,7 +224,7 @@ def _cmd_solve(args) -> int:
         "pi0": sol.pi0,
         "pi1": sol.pi1,
         "phi_table": sol.phi_table,
-        "xi": list(sol.xi.coeffs) if sol.xi is not None else None,
+        "xi": sol.xi,
         "method": sol.method,
         "route_diagnostics": sol.diagnostics,
     }
@@ -319,8 +319,8 @@ def _verify_one(dist: ClaimDistribution, horizon: int) -> dict:
     ) and all(xs[2 * n + 1] <= 0 and xs[2 * n + 3] <= xs[2 * n + 1] for n in range(n_id // 2 - 1))
     checks["series_matches_recurrence"] = _times(den, xs) == [v * scale for v in lh]
     # (1 - s)G = H - s^2, coefficient by coefficient
-    g = series.deflate_G(dist, n_id).coeffs
-    checks["deflation_identity"] = [lcm * (b - a) for a, b in zip((0,) + g, g)] == den
+    g = series.deflate_G(dist, n_id)
+    checks["deflation_identity"] = [lcm * (b - a) for a, b in zip([0] + g, g)] == den
 
     if dist.is_primitive():
         profile = roots.root_profile(dist)

@@ -104,8 +104,9 @@ class ClaimDistribution:
         """Law of 2*B for a tabulated base law B: support on the even lattice.
 
         Accepts a tabulated ClaimDistribution or a pmf list for B; the result
-        is imprimitive by construction: its closed-form initial values are
-        alpha-free, and the root and asymptotic routes reject it.
+        is imprimitive by construction: H(-1) = 1, so its closed-form
+        initial values take alpha = 1, and the root and asymptotic routes
+        reject it.
         """
         if isinstance(base, ClaimDistribution):
             if base.kind not in ("tabulated", "even_lattice"):

@@ -63,7 +63,8 @@ def _q(dist: ClaimDistribution) -> tuple[int, ...]:
     """
     if not dist.is_primitive():
         raise RootLocationError(
-            "imprimitive claim law: roots are not used; solve takes the alpha-free closed form"
+            "imprimitive claim law: on the even lattice H(s) = s^2 at s = -1, "
+            "so solve takes alpha = 1 and no root is located"
         )
     return dist.rational_pgf[2]
 
@@ -104,18 +105,6 @@ def _negative_zero(q: list[int], bits: int) -> tuple[Fraction, Fraction]:
     if lo < near < hi and _value(q, near.numerator, near.denominator) == 0:
         return near, Fraction(0)
     return mid, hi - lo
-
-
-def find_alpha(dist: ClaimDistribution) -> float:
-    """alpha > 1 with H(-1/alpha) = 1/alpha^2: refine_alpha at 64 bits,
-    rounded once.  Requires a primitive law."""
-    return float(refine_alpha(dist, _FLOAT_BITS))
-
-
-def find_beta(dist: ClaimDistribution) -> float | None:
-    """beta with H(1/beta) = 1/beta^2 and 1 < beta < alpha, present exactly
-    when E Z > 2, else None (see root_profile)."""
-    return root_profile(dist).beta
 
 
 def vanishing_order(dist: ClaimDistribution) -> int:

@@ -1,4 +1,4 @@
-"""Truncated power series: a coefficient container and the deflated G.
+"""The deflated G(s) = (H(s) - s^2)/(1 - s).
 
 The generating functions of the model are ratios of series whose denominator
 H(s) - s^2 has constant term h_0 > 0.  Nothing here divides: the recurrence
@@ -8,31 +8,13 @@ back through H - s^2.  What is left is the deflation of the root at s = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .distributions import ClaimDistribution
 
 
-@dataclass(frozen=True)
-class PowerSeries:
-    """Coefficients c_0..c_N of a series truncated at order N."""
-
-    coeffs: tuple
-
-    @classmethod
-    def of(cls, coeffs) -> "PowerSeries":
-        return cls(tuple(coeffs))
-
-    def __getitem__(self, n: int):
-        return self.coeffs[n]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-
-def deflate_G(dist: ClaimDistribution, n_max: int) -> PowerSeries:
-    """Coefficients of G(s) = (H(s) - s^2)/(1 - s) through order n_max.
+def deflate_G(dist: ClaimDistribution, n_max: int) -> list[Fraction]:
+    """Coefficients g_0..g_{n_max} of G(s) = (H(s) - s^2)/(1 - s).
 
     Dividing out the root at s = 1 gives cumulative-sum coefficients:
     g_n = h_0 + ... + h_n for n < 2 and g_n = -1 + (h_0 + ... + h_n) for
@@ -45,4 +27,4 @@ def deflate_G(dist: ClaimDistribution, n_max: int) -> PowerSeries:
     for n, h in enumerate(prefix):
         acc += h
         out.append(acc if n < 2 else acc - 1)
-    return PowerSeries.of(out)
+    return out

@@ -4,20 +4,24 @@ phi(u) is the probability that the surplus stays strictly positive at every
 time n >= 1.  It vanishes identically when E Z >= 2; when E Z < 2 it is
 produced here by three mutually checking routes:
 
-* closed_form (route of record): for a primitive law,
-  phi(0) = alpha(2 - EZ)/(1 + alpha), phi(1) = (2 - EZ)/(h_0 (1 + alpha));
-  on the even lattice, phi(0) = (2 - EZ)/2, phi(1) = (2 - EZ)/(2 h_0).
+* closed_form (route of record), for every law:
+  phi(0) = alpha(2 - EZ)/(1 + alpha), phi(1) = (2 - EZ)/(h_0 (1 + alpha)),
+  with -1/alpha the zero of H(s) - s^2 in [-1, 0).  For a primitive law it
+  lies inside (-1, 0) and alpha is carried as a rational bracket; on the
+  even lattice H(-1) = H(1) = 1, so alpha = 1 exactly and the same formulas
+  read phi(0) = (2 - EZ)/2, phi(1) = (2 - EZ)/(2 h_0).
 * limit_ratio: the finite-n solves phi(0) ~ (y_{n+1} - y_n)/D_n and
   phi(1) ~ (x_n - x_{n+1})/D_n, using phi(infinity) = 1.
-* xi_series: coefficient extraction from the generating function
+* xi_series: the coefficients of the generating function
   Xi(s) = (2 - EZ)^+ (1 + alpha s) / ((1 + alpha)(H(s) - s^2)),
   whose u-th coefficient is phi(u + 1).  With 1/(H - s^2) = sum x_{k+2} s^k
   the coefficient is c(x_{u+2} + alpha x_{u+1}), c = (2 - EZ)/(1 + alpha),
-  which is x_{u+1} phi(0) + y_{u+1} phi(1) exactly: the route reads the
-  closed-form table shifted by one, at the same rational alpha.  What it
-  adds is the check phi(0) = h_1 phi(1) + h_0 phi(2) of the survival
-  recursion at u = 0; ``verify`` checks the x series itself by multiplying
-  it back through H - s^2.
+  which is x_{u+1} phi(0) + y_{u+1} phi(1) exactly: xi is the closed-form
+  table shifted by one, at the same rational alpha.  What the route adds is
+  the check phi(0) = h_1 phi(1) + h_0 phi(2) of the survival recursion at
+  u = 0; ``verify`` checks the x series itself by multiplying it back
+  through H - s^2.  solve() skips it on the even lattice, whose report
+  format has no xi.
 
 The full table follows from phi(u) = x_u phi(0) + y_u phi(1), which holds
 for every law with h_0 > 0, even-lattice laws included: there it gives
@@ -29,7 +33,6 @@ point.  All reconstructions therefore run in exact rational arithmetic with
 alpha carried as a rational bracket refined to ~u_max*log2(alpha) + 64 bits,
 and only the finished values are rounded to floats.
 """
-
 from __future__ import annotations
 
 import math
@@ -38,8 +41,7 @@ from fractions import Fraction
 
 from .distributions import ClaimDistribution
 from .recurrence import SequenceTable, _integer_table, build_table
-from .roots import RootProfile, find_alpha, refine_alpha, root_profile
-from .series import PowerSeries
+from .roots import refine_alpha, root_profile
 
 SURVIVABLE = "survivable"
 CRITICAL = "critical"
@@ -68,26 +70,29 @@ def _alpha_bits(alpha: float, n_terms: int) -> int:
     return max(192, int(n_terms * math.log2(max(alpha, 1.0 + 1e-9))) + 64)
 
 
+def _exact_alpha(dist: ClaimDistribution, bits: int = 64) -> Fraction:
+    """alpha as one exact rational: refine_alpha's bracket of ``bits`` bits
+    (or the rational root itself) for a primitive law, and 1 on the even
+    lattice, where H(-1) = 1 makes s = -1 a root of H(s) = s^2."""
+    return refine_alpha(dist, bits) if dist.is_primitive() else Fraction(1)
+
+
 def initial_values_closed_form(dist: ClaimDistribution, alpha=None) -> tuple:
     """(phi(0), phi(1)) in closed form, in the arithmetic of ``alpha``.
 
-    For a primitive law, phi(0) = alpha(2 - EZ)/(1 + alpha) and
-    phi(1) = (2 - EZ)/(h_0 (1 + alpha)): floats for a float alpha (found by
-    find_alpha when omitted), exact rationals for a rational bracket of
-    alpha.  On the even lattice the values are alpha-free rationals,
-    phi(0) = (2 - EZ)/2 and phi(1) = (2 - EZ)/(2 h_0).  (0.0, 0.0) whenever
-    E Z >= 2.
+    phi(0) = alpha(2 - EZ)/(1 + alpha) and phi(1) = (2 - EZ)/(h_0 (1 + alpha))
+    for every law: exact rationals for a rational alpha, which defaults to
+    a 64-bit bracket of the root for a primitive law and to alpha = 1 on the
+    even lattice, giving (2 - EZ)/2 and (2 - EZ)/(2 h_0).  (0.0, 0.0)
+    whenever E Z >= 2.
     """
     mean = dist.mean()
     if mean >= 2:
         return 0.0, 0.0
-    surplus_rate = 2 - mean
-    h0 = dist.hk(0)
-    if not dist.is_primitive():
-        return surplus_rate / 2, surplus_rate / (2 * h0)
     if alpha is None:
-        alpha = find_alpha(dist)
-    return alpha * surplus_rate / (1 + alpha), surplus_rate / (h0 * (1 + alpha))
+        alpha = _exact_alpha(dist)
+    surplus_rate = 2 - mean
+    return alpha * surplus_rate / (1 + alpha), surplus_rate / (dist.hk(0) * (1 + alpha))
 
 
 @dataclass(frozen=True)
@@ -134,40 +139,6 @@ def initial_values_limit(table: SequenceTable, n: int) -> LimitEstimate:
     return LimitEstimate(phi0=phi0, phi1=phi1, n_used=n, delta=delta)
 
 
-def xi_series(
-    dist: ClaimDistribution,
-    roots: RootProfile | None,
-    n_max: int,
-    bits: int | None = None,
-) -> PowerSeries:
-    """Coefficients xi_u = phi(u + 1) for 0 <= u <= n_max.
-
-    With U = 1/(H - s^2) = sum_k x_{k+2} s^k and c = (2 - EZ)/(1 + alpha),
-    the coefficient c(u_k + alpha u_{k-1}) of Xi = c(1 + alpha s)U is
-    c(x_{k+2} + alpha x_{k+1}) = x_{k+1} phi(0) + y_{k+1} phi(1) = phi(k+1),
-    since phi(0) = alpha c, phi(1) = c/h_0 and y_n = h_0 x_{n+1}.  So the
-    series is phi_table shifted by one, built from the closed form at a
-    rational alpha of ``bits`` bits, exact until floated.
-
-    Identically zero when E Z >= 2 (the positive-part factor).  Raises for
-    even-lattice laws, which have no root alpha: their table is phi_table at
-    the alpha-free closed form.
-    """
-    if not dist.is_primitive():
-        raise ValueError(
-            "the survival generating function needs a primitive law; "
-            "on the even lattice use phi_table or solve"
-        )
-    if dist.mean() >= 2:
-        return PowerSeries.of([0.0] * (n_max + 1))
-    if bits is None:
-        alpha = roots.alpha if roots is not None else find_alpha(dist)
-        bits = _alpha_bits(alpha, n_max)
-    alpha_rat = refine_alpha(dist, bits)
-    p0, p1 = initial_values_closed_form(dist, alpha_rat)
-    return PowerSeries.of(phi_table(dist, p0, p1, n_max + 1)[1:])
-
-
 def phi_table(dist: ClaimDistribution, phi0, phi1, u_max: int) -> list[float]:
     """phi(0..u_max) = x_u phi(0) + y_u phi(1) from initial values produced
     by any route, for every law (primitive or on the even lattice).
@@ -202,23 +173,18 @@ def pi_values(dist: ClaimDistribution, alpha=None) -> tuple[float, float]:
         (h_0 + h_1 - h_0 alpha) pi_0 + h_0 pi_1 = 0   (evaluation at -1/alpha)
 
     so pi_0 = (2-EZ)/(h_0 (1+alpha)) = phi(1), taken from the closed form,
-    and pi_1 = phi(1)(alpha - 1 - h_1/h_0).  Both are evaluated in the
-    arithmetic of ``alpha``, as initial_values_closed_form does (a float
-    root found by find_alpha when omitted, exact for a rational bracket of
-    alpha), and floated on return.  Both residuals are verified to 1e-12
-    before returning (PiResidualError otherwise).  The zero solution is
-    returned when E Z >= 2.
+    and pi_1 = phi(1)(alpha - 1 - h_1/h_0) = phi(2) - phi(1), for every law.
+    Both are evaluated in the arithmetic of ``alpha``, with the same default
+    as initial_values_closed_form (on the even lattice alpha = 1 and h_1 = 0,
+    so pi_1 = 0), and floated on return.  Both residuals are verified to
+    1e-12 before returning (PiResidualError otherwise).  The zero solution
+    is returned when E Z >= 2.
     """
-    if not dist.is_primitive():
-        raise ValueError(
-            "the linear system for pi needs a primitive law; on the even "
-            "lattice take differences of phi_table"
-        )
     mean = dist.mean()
     if mean >= 2:
         return 0.0, 0.0
     if alpha is None:
-        alpha = find_alpha(dist)
+        alpha = _exact_alpha(dist)
     phi1 = initial_values_closed_form(dist, alpha)[1]
     pi0 = float(phi1)
     pi1 = float(phi1 * (alpha - 1 - dist.hk(1) / dist.hk(0)))
@@ -246,7 +212,7 @@ class SurvivalSolution:
     phi_table: list[float]
     pi0: float
     pi1: float
-    xi: PowerSeries | None
+    xi: list[float] | None
     method: str
     diagnostics: dict
 
@@ -259,7 +225,10 @@ def solve(
 ) -> SurvivalSolution:
     """Produce the survival solution, running the requested verification routes.
 
-    The closed form is always the route of record for phi(0), phi(1); the
+    The closed form is always the route of record for phi(0), phi(1), and pi
+    comes from the same exact alpha: a bracket of refine_alpha precise
+    enough for the table through u_max + 1, or alpha = 1 on the even lattice,
+    where the xi route is skipped.  The
     ratio route at n_limit and the generating-function route are computed on
     request ("limit", "xi", or "all") and surfaced in diagnostics together
     with the maximum pairwise disagreement ``max_route_delta``.  Every regime
@@ -290,37 +259,35 @@ def solve(
         phi0 = phi1 = pi0 = pi1 = 0.0
         table = [0.0] * (u_max + 1)
         if primitive:
-            xi = PowerSeries.of(table)
+            xi = list(table)
     else:
-        alpha_rat = None  # the even-lattice closed form is alpha-free
         if primitive:
             profile = root_profile(dist)
             bits = _alpha_bits(profile.alpha, max(u_max, 8))
-            alpha_rat = refine_alpha(dist, bits)
+            alpha = refine_alpha(dist, bits)
             diagnostics["alpha"] = profile.alpha
             diagnostics["alpha_bits"] = bits
             diagnostics["vanishing_order"] = profile.r
-        p0_rat, p1_rat = initial_values_closed_form(dist, alpha_rat)
-        phi0, phi1 = float(p0_rat), float(p1_rat)
-        # one table through phi(u_max + 1) serves the xi route
-        # (xi_u = phi(u + 1), see xi_series) and pi on the even lattice
-        ext = phi_table(dist, p0_rat, p1_rat, max(u_max + 1, 2))
-        table = ext[: u_max + 1]
-        if primitive:
-            pi0, pi1 = pi_values(dist, alpha_rat)
-            if want_xi:
-                xi = PowerSeries.of(ext[1 : u_max + 2])
-                diagnostics["routes"]["xi_series"] = [ext[1]]
         else:
-            # pi from survival differences along the table; the pi_source
-            # label is a fixed string of the report format
-            pi0, pi1 = ext[1], ext[2] - ext[1]
+            alpha = _exact_alpha(dist)
+            # the pi_source label is a fixed string of the report format:
+            # on the even lattice pi = (phi(1), 0) are the table's differences
             diagnostics["pi_source"] = "half-process table differences"
-            if want_xi:
-                diagnostics["routes"]["xi_series"] = None
-                diagnostics.setdefault("notes", []).append(
-                    "generating-function route skipped: even-lattice law"
-                )
+        p0_rat, p1_rat = initial_values_closed_form(dist, alpha)
+        phi0, phi1 = float(p0_rat), float(p1_rat)
+        pi0, pi1 = pi_values(dist, alpha)
+        # one table through phi(u_max + 1) also serves the xi route,
+        # xi_u = phi(u + 1)
+        ext = phi_table(dist, p0_rat, p1_rat, u_max + 1)
+        table = ext[:-1]
+        if want_xi and primitive:
+            xi = ext[1:]
+            diagnostics["routes"]["xi_series"] = [xi[0]]
+        elif want_xi:
+            diagnostics["routes"]["xi_series"] = None
+            diagnostics.setdefault("notes", []).append(
+                "generating-function route skipped: even-lattice law"
+            )
 
     diagnostics["routes"]["closed_form"] = [phi0, phi1]
     values0 = [phi0]

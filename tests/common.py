@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from ruinkit import ClaimDistribution, PowerSeries
+from ruinkit import ClaimDistribution
 
 
 def _pmf(weights):
@@ -132,7 +132,7 @@ def reference_ratio(d, n):
 
 def pgf_series(dist, n_max):
     """H(s) as a truncated series: the pmf prefix itself."""
-    return PowerSeries.of(dist.pmf_prefix(n_max))
+    return dist.pmf_prefix(n_max)
 
 
 def pgf_minus_s2_series(dist, n_max):
@@ -140,14 +140,14 @@ def pgf_minus_s2_series(dist, n_max):
     coeffs = dist.pmf_prefix(n_max)
     if n_max >= 2:
         coeffs[2] -= 1
-    return PowerSeries.of(coeffs)
+    return coeffs
 
 
 def series_divide(numerator, denominator, n_max):
     """Quotient q with denominator*q = numerator through order n_max, by the
     forward recurrence q_n = (a_n - sum_{j=1..n} b_j q_{n-j}) / b_0 in
     Fraction arithmetic (O(N^2) operations); b_0 must be non-zero."""
-    a, b = numerator.coeffs, denominator.coeffs
+    a, b = numerator, denominator
     assert len(a) > n_max and len(b) > n_max and b[0] != 0
     inv_b0 = 1 / Fraction(b[0])
     quot = []
@@ -157,7 +157,7 @@ def series_divide(numerator, denominator, n_max):
             if b[j]:
                 acc -= b[j] * quot[n - j]
         quot.append(acc * inv_b0)
-    return PowerSeries.of(quot)
+    return quot
 
 
 def reference_xi(dist, alpha_rat, n_max):
@@ -165,8 +165,8 @@ def reference_xi(dist, alpha_rat, n_max):
     division, U = 1/(H - s^2) and c = (2 - EZ)/(1 + alpha), with alpha the
     rational ``alpha_rat``; the alpha^n-sized terms of U cancel exactly."""
     den = pgf_minus_s2_series(dist, n_max)
-    numerator = PowerSeries.of([Fraction(1)] + [Fraction(0)] * n_max)
-    u = series_divide(numerator, den, n_max).coeffs
+    numerator = [Fraction(1)] + [Fraction(0)] * n_max
+    u = series_divide(numerator, den, n_max)
     c = (2 - dist.mean()) / (1 + alpha_rat)
     return [c * u[0]] + [c * (u[k] + alpha_rat * u[k - 1]) for k in range(1, n_max + 1)]
 

@@ -16,7 +16,6 @@ from ruinkit import (
     compute_coefficients,
     deflate_G,
     finite_horizon_dp,
-    find_alpha,
     geometric_margin_factor,
     geometric_partial_fraction,
     initial_values_limit,
@@ -24,7 +23,6 @@ from ruinkit import (
     pi_values,
     root_profile,
     solve,
-    xi_series,
 )
 
 from common import (
@@ -107,15 +105,15 @@ def test_criterion_03_conjecture_suite_exact():
 def test_criterion_04_root_residuals():
     with _criterion(4, "root residuals < 1e-12; alpha goldens to 1e-12"):
         for dist in primitive_fixtures():
-            alpha = find_alpha(dist)
+            alpha = root_profile(dist).alpha
             s = -1.0 / alpha
             assert abs(float(dist.pgf(s)) - s * s) < 1e-12, dist.label()
         for dist in bernoulli_fixtures():
-            assert abs(find_alpha(dist) - 1.0 / float(1 - dist.p)) < 1e-12
+            assert abs(root_profile(dist).alpha - 1.0 / float(1 - dist.p)) < 1e-12
         for p in (F(1, 5), F(1, 3), F(1, 2), F(2, 3)):
             dist = ClaimDistribution.geometric(p)
             want = (math.sqrt(4.0 / float(p) - 3.0) + 1.0) / 2.0
-            assert abs(find_alpha(dist) - want) < 1e-12
+            assert abs(root_profile(dist).alpha - want) < 1e-12
 
 
 def test_criterion_05_coefficient_goldens():
@@ -157,7 +155,7 @@ def test_criterion_07_three_route_agreement():
             table = build_table(dist, 61)
             est = initial_values_limit(table, 60)
             limit = (est.phi0, est.phi1)
-            xi = xi_series(dist, None, 2)
+            xi = solve(dist, u_max=2, route="xi").xi
             h0 = float(dist.hk(0))
             h1 = float(dist.hk(1))
             via_xi = (h1 * xi[0] + h0 * xi[1], xi[0])
@@ -218,11 +216,11 @@ def test_criterion_10_identity_suite_exact():
                 assert table.x[2 * k + 3] <= table.x[2 * k + 1] <= 0
             if not dist.is_primitive():
                 assert all(table.x[2 * k + 1] == 0 for k in range((n + 1) // 2))
-            g = deflate_G(dist, n).coeffs
-            back = (g[0], *(b - a for a, b in zip(g, g[1:])))  # (1 - s)G
-            assert back == pgf_minus_s2_series(dist, n).coeffs
+            g = deflate_G(dist, n)
+            back = [g[0], *(b - a for a, b in zip(g, g[1:]))]  # (1 - s)G
+            assert back == pgf_minus_s2_series(dist, n)
             xs = series_divide(pgf_series(dist, n), pgf_minus_s2_series(dist, n), n)
-            assert list(xs.coeffs) == table.x[: n + 1]
+            assert xs == table.x[: n + 1]
 
 
 def test_criterion_11_regime_handling():
@@ -233,7 +231,7 @@ def test_criterion_11_regime_handling():
             assert sol.phi0 == 0.0 and sol.phi1 == 0.0
             assert not any(sol.phi_table)
             assert (sol.pi0, sol.pi1) == (0.0, 0.0)
-            assert sol.xi is not None and not any(sol.xi.coeffs)
+            assert sol.xi == [0.0] * 21
             assert pi_values(dist) == (0.0, 0.0)
-            xi = xi_series(dist, None, 10)
-            assert not any(xi.coeffs)
+            xi = solve(dist, u_max=10, route="xi").xi
+            assert xi == [0.0] * 11

@@ -110,6 +110,25 @@ def test_solve_all_routes(capsys):
     assert len(results["xi"]) == 9
 
 
+def test_solve_even_lattice_report_shape(capsys):
+    # an even-lattice law has alpha = 1 and no root profile: its report keeps
+    # the pi source, the xi skip note and null xi fields, and no root keys
+    code, out = run(
+        capsys, ["solve", "--dist", "even:1/2,1/4,1/4", "--u-max", "6", "--route", "all"]
+    )
+    assert code == 0
+    results = json.loads(out)["results"]
+    diag = results["route_diagnostics"]
+    assert diag["pi_source"] == "half-process table differences"
+    assert diag["notes"] == ["generating-function route skipped: even-lattice law"]
+    assert diag["routes"]["xi_series"] is None
+    assert results["xi"] is None
+    assert not {"alpha", "alpha_bits", "vanishing_order"} & diag.keys()
+    assert (results["phi0"], results["phi1"]) == ("0.25", "0.5")
+    assert (results["pi0"], results["pi1"]) == ("0.5", "0")
+    assert results["phi_table"] == ["0.25", "0.5", "0.5", "0.75", "0.75", "0.875", "0.875"]
+
+
 def test_dp_and_simulate(capsys):
     code, out = run(capsys, ["dp", "--dist", "geometric(1/2)", "--u", "0", "--horizon", "2"])
     assert code == 0
@@ -300,9 +319,9 @@ def test_verify_flags_broken_identities(capsys, monkeypatch):
         return perturbed
 
     def bumped_G(dist, n_max):
-        g = list(deflate_G(dist, n_max).coeffs)
+        g = deflate_G(dist, n_max)
         g[top] += 1
-        return series.PowerSeries.of(g)
+        return g
 
     cases = (
         (recurrence, "_integer_table", table_with_bumped("x"), "series_matches_recurrence"),

@@ -9,8 +9,6 @@ from hypothesis import example, given, settings
 from ruinkit import (
     ClaimDistribution,
     RootLocationError,
-    find_alpha,
-    find_beta,
     refine_alpha,
     root_profile,
     vanishing_order,
@@ -35,36 +33,36 @@ def geometric_alpha(p: float) -> float:
 
 def test_bernoulli_alpha_is_one_over_q():
     for dist in bernoulli_fixtures():
-        assert abs(find_alpha(dist) - 1.0 / float(1 - dist.p)) < 1e-12
+        assert abs(root_profile(dist).alpha - 1.0 / float(1 - dist.p)) < 1e-12
 
 
 def test_geometric_alpha_closed_form():
     for dist in geometric_fixtures():
-        assert abs(find_alpha(dist) - geometric_alpha(float(dist.p))) < 1e-12
+        assert abs(root_profile(dist).alpha - geometric_alpha(float(dist.p))) < 1e-12
 
 
 def test_golden_ratio_alpha():
-    alpha = find_alpha(ClaimDistribution.geometric(F(1, 2)))
+    alpha = root_profile(ClaimDistribution.geometric(F(1, 2))).alpha
     assert abs(alpha - (1.0 + math.sqrt(5.0)) / 2.0) < 1e-12
 
 
 def test_alpha_residuals():
     for dist in primitive_fixtures():
-        alpha = find_alpha(dist)
+        alpha = root_profile(dist).alpha
         assert alpha > 1
         assert alpha_residual(dist, alpha) < 1e-13
 
 
 def test_beta_absent_when_mean_small():
-    assert find_beta(ClaimDistribution.geometric(F(1, 2))) is None
-    assert find_beta(ClaimDistribution.bernoulli(F(4, 5))) is None
-    assert find_beta(ClaimDistribution.geometric(F(1, 3))) is None  # critical mean
+    assert root_profile(ClaimDistribution.geometric(F(1, 2))).beta is None
+    assert root_profile(ClaimDistribution.bernoulli(F(4, 5))).beta is None
+    assert root_profile(ClaimDistribution.geometric(F(1, 3))).beta is None  # critical mean
 
 
 def test_beta_goldens():
-    beta = find_beta(ClaimDistribution.geometric(F(1, 4)))
+    beta = root_profile(ClaimDistribution.geometric(F(1, 4))).beta
     assert abs(beta - (math.sqrt(13.0) - 1.0) / 2.0) < 1e-12
-    beta = find_beta(ClaimDistribution.geometric(F(1, 5)))
+    beta = root_profile(ClaimDistribution.geometric(F(1, 5))).beta
     assert abs(beta - (math.sqrt(17.0) - 1.0) / 2.0) < 1e-12
 
 
@@ -83,7 +81,7 @@ def test_beta_ordering_and_residual():
 def test_beta_matches_direct_bisection():
     # deflation consistency: the G-root equals the root of H(s) - s^2 itself
     dist = ClaimDistribution.geometric(F(1, 4))
-    beta = find_beta(dist)
+    beta = root_profile(dist).beta
     lo, hi = 1e-9, 1.0 - 1e-9
     f = lambda s: float(dist.pgf(s) - s * s)
     assert f(lo) > 0 > f(hi)
@@ -107,9 +105,7 @@ def test_vanishing_orders():
 
 def test_imprimitive_rejected():
     dist = ClaimDistribution.tabulated([F(1, 2), 0, F(1, 2)])
-    with pytest.raises(RootLocationError, match="alpha-free"):
-        find_alpha(dist)
-    with pytest.raises(RootLocationError):
+    with pytest.raises(RootLocationError, match="alpha = 1"):
         root_profile(dist)
     with pytest.raises(RootLocationError):
         refine_alpha(dist)
@@ -160,8 +156,9 @@ def test_sturm_count_matches_theory(dist):
     # alpha always, beta exactly when E Z > 2; s = 1 lies outside (-1, 1)
     assert interior_sign_changes(dist) == 1 + (dist.mean() > 2)
     assert vanishing_order(dist) == 1 + (dist.mean() == 2)
-    assert (find_beta(dist) is None) == (dist.mean() <= 2)
-    alpha, fine = find_alpha(dist), float(refine_alpha(dist, 256))
+    profile = root_profile(dist)
+    assert (profile.beta is None) == (dist.mean() <= 2)
+    alpha, fine = profile.alpha, float(refine_alpha(dist, 256))
     assert fine in (math.nextafter(alpha, 0), alpha, math.nextafter(alpha, math.inf))
 
 
@@ -183,7 +180,7 @@ def test_profile_fields():
 def test_refine_alpha_matches_float():
     for dist in primitive_fixtures():
         refined = refine_alpha(dist, bits=128)
-        assert abs(float(refined) - find_alpha(dist)) < 1e-12
+        assert abs(float(refined) - root_profile(dist).alpha) < 1e-12
 
 
 def test_refine_alpha_hits_rational_root_exactly():

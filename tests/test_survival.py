@@ -18,16 +18,16 @@ from ruinkit import (
     pi_values,
     refine_alpha,
     regime,
-    root_profile,
     solve,
-    xi_series,
 )
+from ruinkit.distributions import _value
 
 from common import (
     even_lattice_laws,
     laws,
     reference_limit,
     reference_phi_half,
+    reference_table,
     reference_xi,
     survivable_fixtures,
 )
@@ -117,27 +117,29 @@ def test_limit_route_matches_reduced_fractions(dist, n):
 
 
 def test_xi_bernoulli_all_ones():
-    xi = xi_series(ClaimDistribution.bernoulli(F(2, 5)), None, 30)
-    assert all(abs(v - 1.0) < 1e-12 for v in xi.coeffs)
+    xi = solve(ClaimDistribution.bernoulli(F(2, 5)), u_max=30, route="xi").xi
+    assert len(xi) == 31
+    assert all(abs(v - 1.0) < 1e-12 for v in xi)
 
 
 def test_xi_matches_phi_one():
-    dist = ClaimDistribution.geometric(F(1, 2))
-    xi = xi_series(dist, root_profile(dist), 10)
+    xi = solve(ClaimDistribution.geometric(F(1, 2)), u_max=10, route="xi").xi
     assert abs(xi[0] - GOLDEN_PHI1) < 1e-10
 
 
 def test_xi_zero_when_ruinous():
-    xi = xi_series(ClaimDistribution.geometric(F(1, 4)), None, 10)
-    assert all(v == 0.0 for v in xi.coeffs)
+    xi = solve(ClaimDistribution.geometric(F(1, 4)), u_max=10, route="xi").xi
+    assert xi == [0.0] * 11
 
 
-def test_xi_rejects_even_lattice():
+def test_xi_skipped_on_even_lattice():
+    # the even-lattice report has no xi, but its closed form and pi are those
+    # of every law at alpha = 1: phi(1) = (2 - EZ)/(2 h_0) = 1 and pi_1 = 0
     dist = ClaimDistribution.tabulated([F(1, 2), 0, F(1, 2)])
-    with pytest.raises(ValueError, match="phi_table"):
-        xi_series(dist, None, 5)
-    with pytest.raises(ValueError, match="phi_table"):
-        pi_values(dist)
+    sol = solve(dist, u_max=5, route="xi")
+    assert sol.xi is None
+    assert sol.diagnostics["routes"]["xi_series"] is None
+    assert pi_values(dist) == (1.0, 0.0) == (sol.pi0, sol.pi1)
 
 
 def test_xi_consistency_with_linear_combination():
@@ -151,7 +153,7 @@ def test_xi_consistency_with_linear_combination():
         p0 = alpha_rat * (2 - mean) / (1 + alpha_rat)
         p1 = (2 - mean) / (dist.hk(0) * (1 + alpha_rat))
         phis = phi_table(dist, p0, p1, 51)
-        xi = xi_series(dist, None, 50)
+        xi = solve(dist, u_max=50, route="xi").xi
         for u in range(51):
             assert abs(xi[u] - phis[u + 1]) < 1e-10
 
@@ -159,15 +161,14 @@ def test_xi_consistency_with_linear_combination():
 @settings(max_examples=40, deadline=None)
 @given(
     dist=laws.filter(lambda d: d.is_primitive() and d.mean() < 2),
-    n_max=st.integers(0, 120),
-    bits=st.integers(192, 1024),
+    u_max=st.integers(0, 120),
 )
-def test_xi_series_matches_reference_division(dist, n_max, bits):
-    # xi_series reads phi_table; the reference divides by H - s^2 at the
+def test_xi_series_matches_reference_division(dist, u_max):
+    # solve's xi reads phi_table; the reference divides by H - s^2 at the
     # same rational alpha, so the two agree bit for bit
-    xi = xi_series(dist, None, n_max, bits)
-    want = reference_xi(dist, refine_alpha(dist, bits), n_max)
-    assert list(xi.coeffs) == [float(v) for v in want]
+    sol = solve(dist, u_max=u_max, route="xi")
+    want = reference_xi(dist, refine_alpha(dist, sol.diagnostics["alpha_bits"]), u_max)
+    assert sol.xi == [float(v) for v in want]
 
 
 def test_phi_table_reproduces_initial_values():
@@ -275,9 +276,42 @@ def test_pi_values_zero_for_heavy_mean():
     assert pi_values(ClaimDistribution.geometric(F(1, 4))) == (0.0, 0.0)
 
 
-def test_pi_values_reject_even_lattice():
-    with pytest.raises(ValueError):
-        pi_values(ClaimDistribution.tabulated([F(1, 2), 0, F(1, 2)]))
+def test_pi_values_even_lattice():
+    # alpha = 1 on the even lattice: pi_0 = phi(1) = (2 - EZ)/(2 h_0), pi_1 = 0
+    dist = ClaimDistribution.tabulated([F(1, 2), F(0), F(1, 4), F(0), F(1, 4)])
+    assert pi_values(dist) == (0.5, 0.0)
+    assert pi_values(dist, F(1)) == (0.5, 0.0)
+    sol = solve(dist, u_max=4)
+    assert (sol.pi0, sol.pi1) == (0.5, 0.0)
+    assert sol.pi0 == sol.phi_table[1] and sol.pi1 == sol.phi_table[2] - sol.phi_table[1]
+    assert pi_values(ClaimDistribution.tabulated([F(1, 4), 0, 0, 0, F(3, 4)])) == (0.0, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dist=even_lattice_laws)
+def test_even_lattice_closed_form_is_alpha_one(dist):
+    # H(-1) = H(1) = 1, so s = -1 solves H(s) = s^2 exactly: alpha = 1, and
+    # the one closed form gives the even-lattice values
+    assert _value(dist.rational_pgf[2], -1, 1) == 0
+    if dist.mean() < 2:
+        rate = 2 - dist.mean()
+        phi0, phi1 = initial_values_closed_form(dist)
+        assert (phi0, phi1) == (rate / 2, rate / (2 * dist.hk(0)))
+        assert isinstance(phi0, Fraction) and isinstance(phi1, Fraction)
+        assert pi_values(dist) == (float(phi1), 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dist=laws.filter(lambda d: d.mean() < 2), bits=st.integers(64, 512))
+def test_pi1_is_the_exact_phi_difference(dist, bits):
+    # pi_1 = phi(1)(alpha - 1 - h_1/h_0) is phi(2) - phi(1) exactly at any
+    # rational alpha, with phi(2) = x_2 phi(0) + y_2 phi(1) from the pmf
+    # recurrence; one pi formula serves every law because of it
+    alpha = refine_alpha(dist, bits) if dist.is_primitive() else F(1)
+    p0, p1 = initial_values_closed_form(dist, alpha)
+    x, y, _ = reference_table(dist, 2)
+    phi2 = x[2] * p0 + y[2] * p1
+    assert pi_values(dist, alpha) == (float(p1), float(phi2 - p1))
 
 
 def test_pi_sums_match_phi_differences():
@@ -305,7 +339,7 @@ def test_xi_differences_are_a_probability_mass():
         ClaimDistribution.geometric(F(1, 2)),
         ClaimDistribution.tabulated([F(2, 5), F(1, 5), F(1, 5), F(1, 5)]),
     ):
-        xi = xi_series(dist, None, 120)
+        xi = solve(dist, u_max=120, route="xi").xi
         masses = [xi[0]] + [xi[u] - xi[u - 1] for u in range(1, 121)]
         assert all(m >= -1e-14 for m in masses)
         total = sum(masses)
@@ -328,7 +362,7 @@ def test_zero_regimes_all_routes():
         assert sol.phi0 == 0.0 and sol.phi1 == 0.0
         assert not any(sol.phi_table)
         assert (sol.pi0, sol.pi1) == (0.0, 0.0)
-        assert sol.xi is not None and not any(sol.xi.coeffs)
+        assert sol.xi == [0.0] * 11
         assert sol.diagnostics["max_route_delta"] == 0.0
 
 
