@@ -19,7 +19,7 @@ from .asymptotics import (
     verify_sign_monotonicity,
     xn_residuals,
 )
-from .distributions import ClaimDistribution, DistributionError, MomentReport
+from .distributions import ClaimDistribution, DistributionError
 from .oracle import DPConfig, DPResult, MCConfig, MCResult, finite_horizon_dp, mc_estimate
 from .recurrence import ConjectureReport, SequenceTable, build_table, check_conjecture
 from .roots import (
@@ -53,7 +53,6 @@ __all__ = [
     "LimitEstimate",
     "MCConfig",
     "MCResult",
-    "MomentReport",
     "RootLocationError",
     "RootProfile",
     "SequenceTable",

@@ -15,6 +15,9 @@ critical mean (r=2)
     c2 = 2/(H''(1) - 2),
     c1 = (2*H'''(1) - 12*H''(1) + 24) / (3*(H''(1) - 2)^2).
 
+Each is formed exactly from X = P/Q and rounded once: a and b as residues
+at rational roots, c1 and c2 as Laurent coefficients at s = 1.
+
 The determinants inherit D_n ~ (-1)^n h_0 a c_r (1+alpha)^2 n^(r-1) alpha^n
 when EZ <= 2 and D_n ~ (-1)^n h_0 a b (alpha+beta)^2 (alpha*beta)^n when
 EZ > 2, so |D_{n+2}/D_n| converges to alpha^2 or (alpha*beta)^2.
@@ -34,9 +37,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .distributions import ClaimDistribution, _value
+from .distributions import ClaimDistribution, _series, _value
 from .recurrence import SequenceTable, _pattern_scan
-from .roots import RootProfile, refine_alpha
+from .roots import RootProfile, _deflate_at_one, _zero, refine_alpha
 
 #: relative residual floor for "expansion has converged" checks
 DEFAULT_RESIDUAL_EPS = 1e-9
@@ -62,20 +65,21 @@ class AsymptoticCoefficients:
 
 
 def compute_coefficients(dist: ClaimDistribution, roots: RootProfile) -> AsymptoticCoefficients:
-    """Evaluate the closed-form partial-fraction coefficients.
+    """Evaluate the partial-fraction coefficients of X = P/Q exactly and
+    round each once.
 
     With H = P/R and Q = P - s^2 R, a and b are the residues -P(s)/(s Q'(s))
-    of X = P/Q at s = -1/alpha and s = 1/beta, exact at rational roots good
-    to 128 bits or more, rounded once.  c1 and c2 use E Z, and H''(1) and
-    H'''(1) on the critical-mean branch (r = 2), all finite.
+    of X at s = -1/alpha and s = 1/beta, exact at rational roots good to
+    128 bits or more.  With Q = (1 - s)^r K and (P/K)(1 - t) = e_0 + e_1 t
+    + ..., X = e_0/t^r + e_1/t^(r-1) + ... at t = 1 - s, so c_r = e_0 and
+    c_(r-1) = e_1: the paper's closed forms of c1, c2 above, without their
+    cancellation as E Z -> 2.
     """
     if not dist.is_primitive():
         raise ValueError("expansion coefficients are defined for primitive laws only")
-    r = roots.r
-    report = dist.pgf_derivatives_at_one(3 if r == 2 else 2)
-    mean = report.mean
     p, den, q = dist.rational_pgf
-    s_dq = [k * c for k, c in enumerate(q)]  # s Q'(s) = sum k q_k s^k
+    r, k = _deflate_at_one(q)
+    s_dq = [j * c for j, c in enumerate(q)]  # s Q'(s) = sum j q_j s^j
 
     def residue(n: int, d: int) -> float:
         # -P(s)/(s Q'(s)) at s = n/d, the c of c/(1 - x/s) in X = P/Q, as one
@@ -87,31 +91,22 @@ def compute_coefficients(dist: ClaimDistribution, roots: RootProfile) -> Asympto
     beta = roots.beta
     b = 0.0
     if beta is not None:
-        # two Newton steps, each exact and then floored to a multiple of
-        # 2**-256, take s = 1/beta from a float to ~200 bits
-        d, n = beta.as_integer_ratio()
-        for _ in range(2):
-            slope = _value(s_dq, n, d)
-            n, d = (n * (slope - _value(q, n, d)) << 256) // (d * slope), 1 << 256
-        b = residue(n, d)
+        s_beta = _zero(q, 0, 1, 128)[0]
+        b = residue(s_beta.numerator, s_beta.denominator)
     elif r == 1 and len(den) == 2 and len(q) == 4:
         # a cubic Q has roots 1, -1/alpha and 1/beta, the last one outside
         # the closed disk here; Vieta's product gives 1/beta = alpha q_0/q_3
         n, d = alpha_rat.numerator * q[0], alpha_rat.denominator * q[3]
         beta, b = d / n, residue(n, d)
 
-    if r == 1:
-        c1 = 1.0 / (2.0 - float(mean))
-        c2 = 0.0
-    else:
-        d2f = float(report.derivative(2))
-        d3f = float(report.derivative(3))
-        c2 = 2.0 / (d2f - 2.0)
-        c1 = (2.0 * d3f - 12.0 * d2f + 24.0) / (3.0 * (d2f - 2.0) ** 2)
+    # f(1 - t) = f(1) - f'(1) t + ... for f = P and K, with K(1) != 0
+    p_t, k_t = ([sum(f), -sum(j * c for j, c in enumerate(f))] for f in (p, k))
+    e0, e1 = (float(e) for e in _series(p_t, k_t, 1))
+    c1, c2 = (e0, 0.0) if r == 1 else (e1, e0)
 
     return AsymptoticCoefficients(
         a=a, b=b, c1=c1, c2=c2, r=r, alpha=roots.alpha, beta=beta,
-        h0=float(dist.hk(0)), mean=float(mean),
+        h0=float(dist.hk(0)), mean=float(dist.mean()),
     )
 
 

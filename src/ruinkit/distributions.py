@@ -7,9 +7,9 @@ rational p.g.f. H(s) = sum h_k s^k = P(s)/R(s) with integer polynomials:
 R = L and P = L*H for finite support (L the lcm of the denominators), and
 P = a, R = b - (b-a)s for geometric(a/b).  The construction record is read
 once, to build the pair (P, R) and Q = P - s^2 R (``rational_pgf``); the
-pmf prefixes, tail masses, p.g.f. values, derivatives and moments at s = 1,
-and primitivity (whether any odd-index probability is positive) are all
-derived from the pair.
+pmf prefixes, tail masses, p.g.f. values, the mean, and primitivity
+(whether any odd-index probability is positive) are all derived from the
+pair.
 
 Two construction invariants are enforced: h_0 > 0 (otherwise the model order
 can be reduced by shifting every claim down by one) and P(Z = 2) < 1 (the
@@ -35,28 +35,6 @@ class DistributionError(ValueError):
 
 #: the parameter field of each named family in a JSON spec
 _FAMILY_FIELD = {"bernoulli": "p", "geometric": "p", "even_lattice": "base"}
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """Moments of Z and derivatives of its p.g.f. at s = 1.
-
-    ``derivatives[j-1]`` holds H^(j)(1) for 1 <= j <= max_order, as an exact
-    Fraction.
-    Moments are recovered from the factorial moments H^(j)(1) via Stirling
-    numbers of the second kind: E Z^2 = H''(1) + H'(1), and so on.
-    """
-
-    mean: Fraction | float
-    m2: Fraction | float | None = None
-    m3: Fraction | float | None = None
-    m4: Fraction | float | None = None
-    derivatives: tuple = ()
-
-    def derivative(self, order: int) -> Fraction | float:
-        if not 1 <= order <= len(self.derivatives):
-            raise ValueError(f"derivative order {order} not computed")
-        return self.derivatives[order - 1]
 
 
 @dataclass(frozen=True)
@@ -217,33 +195,11 @@ class ClaimDistribution:
         value = Fraction(_value(p, n, d) * d ** (len(r) - 1), _value(r, n, d) * d ** (len(p) - 1))
         return float(value) if isinstance(s, float) else value
 
-    @cached_property
-    def _derivatives_at_one(self) -> tuple[Fraction, ...]:
-        """H^(j)(1) for 1 <= j <= 4: j! times the Taylor coefficients of
-        P(1 + t)/R(1 + t), whose constant term R(1) = P(1) is positive."""
-        p, r = (
-            [sum(c * math.comb(k, j) for k, c in enumerate(f)) for j in range(5)]
-            for f in self.rational_pgf[:2]
-        )
-        taylor = _series(p, r, 4)
-        return tuple(math.factorial(j) * taylor[j] for j in range(1, 5))
-
-    def pgf_derivatives_at_one(self, max_order: int = 4) -> MomentReport:
-        """Derivatives H^(j)(1), 1 <= j <= max_order, and the moments E Z^j,
-        all exact: every law with a rational p.g.f. has finite moments of
-        every order."""
-        if max_order not in (1, 2, 3, 4):
-            raise ValueError("max_order must be between 1 and 4")
-        d = self._derivatives_at_one[:max_order] + (None,) * (4 - max_order)
-        mean = d[0]
-        m2 = d[1] + d[0] if d[1] is not None else None
-        m3 = d[2] + 3 * d[1] + d[0] if d[2] is not None else None
-        m4 = d[3] + 6 * d[2] + 7 * d[1] + d[0] if d[3] is not None else None
-        return MomentReport(mean=mean, m2=m2, m3=m3, m4=m4, derivatives=d[:max_order])
-
     def mean(self) -> Fraction:
-        """E Z = H'(1), exact."""
-        return self._derivatives_at_one[0]
+        """E Z = H'(1) = (P'(1) - R'(1))/R(1), exact, as P(1) = R(1)."""
+        p, r, _q = self.rational_pgf
+        dp, dr = (sum(k * c for k, c in enumerate(f)) for f in (p, r))
+        return Fraction(dp - dr, sum(r))
 
     # -- structure ---------------------------------------------------------
 
@@ -289,6 +245,9 @@ class ClaimDistribution:
         if conflicting:
             raise DistributionError(f"field(s) {conflicting} conflict with field {field!r}")
         if field == "pmf":
+            if not isinstance(spec["pmf"], list):
+                got = type(spec["pmf"]).__name__
+                raise DistributionError(f"field 'pmf' must be an array, got {got}")
             return cls.tabulated(spec["pmf"])
         if field not in spec:
             raise DistributionError(f"field {field!r} is required for family {family!r}")

@@ -15,8 +15,9 @@ and R > 0 on [-1, 1], so that Q has the sign of H - s^2 on the disk:
 * both interior zeros come from one exact bisection on the dyadic points
   m/2^k, whose signs are those of the integers Q(m/2^k)·2^(k·deg Q);
   Q(-1) < 0 < Q(0) brackets -1/alpha, and Q(0) > 0 with the single zero
-  in (0, 1) brackets 1/beta;
-* r is the multiplicity of s = 1 as a root of Q.
+  in (0, 1) brackets 1/beta; the nearest fraction of small denominator
+  in the final bracket is tried as an exact root;
+* r is the multiplicity of s = 1 as a root of Q = (1 - s)^r K.
 
 ``refine_alpha`` returns the rational midpoint of a bracket of any width
 (or a rational root exactly), which downstream series evaluations use to
@@ -91,15 +92,16 @@ def _bisect(q: list[int], lo: int, hi: int, steps: int) -> tuple[Fraction, Fract
     return Fraction(lo, 1 << steps), Fraction(hi, 1 << steps)
 
 
-def _negative_zero(q: list[int], bits: int) -> tuple[Fraction, Fraction]:
-    """(s, width): s = -1/alpha exactly with width 0 when that root is hit,
+def _zero(q: list[int], lo: int, hi: int, bits: int) -> tuple[Fraction, Fraction]:
+    """(s, width) for the one zero of Q in the unit interval [lo, hi]
+    (integers, Q(lo) != 0): s exactly with width 0 when that root is hit,
     else the midpoint of its bracket of width 2**-bits.
 
     A rational root whose denominator is at most 2**(bits//2 - 1) is hit:
     two such fractions lie at least 2**(2 - bits) apart, so the nearest one
     to the midpoint is the only one the bracket can hold.
     """
-    lo, hi = _bisect(q, -1, 0, bits)
+    lo, hi = _bisect(q, lo, hi, bits)
     mid = (lo + hi) / 2
     near = mid.limit_denominator(2 ** max(0, bits // 2 - 1))
     if lo < near < hi and _value(q, near.numerator, near.denominator) == 0:
@@ -107,21 +109,27 @@ def _negative_zero(q: list[int], bits: int) -> tuple[Fraction, Fraction]:
     return mid, hi - lo
 
 
-def vanishing_order(dist: ClaimDistribution) -> int:
-    """Order r of the zero of H(s) - s^2 at s = 1: 1 if E Z != 2, else 2.
+def _deflate_at_one(q) -> tuple[int, list[int]]:
+    """(r, K) with Q = (1 - s)^r K and K(1) != 0: r is the order of the
+    zero of H(s) - s^2 at s = 1.
 
-    r is the multiplicity of s = 1 as a root of Q.  When Q(1) = 0, dividing
-    by s - 1 leaves minus the partial sums: Q = (s - 1) sum_i -(q_0 + ... +
-    q_i) s^i.  A third factor would force the excluded degenerate law Z = 2.
+    When Q(1) = 0, Q = (1 - s) sum_i (q_0 + ... + q_i) s^i, so each factor
+    leaves the partial sums.  A third factor would force the excluded
+    degenerate law Z = 2.
     """
-    q = dist.rational_pgf[2]
-    r = 0
-    while sum(q) == 0:
+    r, k = 0, list(q)
+    while sum(k) == 0:
         r += 1
         if r > 2:
             raise RootLocationError("degenerate law at the income rate; excluded at construction")
-        q = [-c for c in accumulate(q[:-1])]
-    return r
+        k = list(accumulate(k[:-1]))
+    return r, k
+
+
+def vanishing_order(dist: ClaimDistribution) -> int:
+    """Order r of the zero of H(s) - s^2 at s = 1: 1 if E Z != 2, else 2,
+    the multiplicity of s = 1 as a root of Q."""
+    return _deflate_at_one(dist.rational_pgf[2])[0]
 
 
 def interior_sign_changes(dist: ClaimDistribution) -> int:
@@ -203,12 +211,12 @@ def root_profile(dist: ClaimDistribution) -> RootProfile:
         raise RootLocationError(
             f"anomalous interior root count: expected {expected}, Sturm count {found}"
         )
-    s, width = _negative_zero(q, _FLOAT_BITS)
+    s, width = _zero(q, -1, 0, _FLOAT_BITS)
     beta = None
     if expected == 2:
         # Q(0) = p_0 > 0, and the count leaves one sign change in (0, 1)
-        lo, hi = _bisect(q, 0, 1, _FLOAT_BITS)
-        beta, width = float(2 / (lo + hi)), max(width, hi - lo)
+        s_beta, width_beta = _zero(q, 0, 1, _FLOAT_BITS)
+        beta, width = float(1 / s_beta), max(width, width_beta)
     return RootProfile(
         alpha=float(-1 / s), beta=beta, r=vanishing_order(dist),
         bracket_width_achieved=float(width), dist=dist,
@@ -234,9 +242,9 @@ def refine_alpha(dist: ClaimDistribution, bits: int = 256) -> Fraction:
     Exact integer bisection of Q on [-1, 0]: every sign is exact, so the
     returned rational brackets the true alpha to the stated width, and a
     rational root of small denominator is returned exactly (see
-    ``_negative_zero``).  Series reconstructions of survival probabilities
+    ``_zero``).  Series reconstructions of survival probabilities
     combine terms of size alpha^n that cancel to O(1); carrying alpha as a
     rational of width 2**-bits keeps that cancellation exact up to
     n ~ bits/log2(alpha).
     """
-    return -1 / _negative_zero(_q(dist), bits)[0]
+    return -1 / _zero(_q(dist), -1, 0, bits)[0]

@@ -306,12 +306,7 @@ def solve(
         values1.append(xi[0])
         if len(xi) > 1:
             values0.append(float(dist.hk(1)) * xi[0] + float(dist.hk(0)) * xi[1])
-    delta = 0.0
-    for vals in (values0, values1):
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                delta = max(delta, abs(vals[i] - vals[j]))
-    diagnostics["max_route_delta"] = delta
+    diagnostics["max_route_delta"] = max(max(v) - min(v) for v in (values0, values1))
 
     method = {
         ROUTE_CLOSED: "closed_form",

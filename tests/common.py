@@ -1,5 +1,6 @@
 """Shared fixture distributions and brute-force oracles for the test suite."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -69,6 +70,17 @@ def reference_pmf(dist, n):
     if dist.kind == "geometric":
         return [dist.p * (1 - dist.p) ** k for k in range(n + 1)]
     return (list(dist.pmf) + [Fraction(0)] * (n + 1))[: n + 1]
+
+
+def reference_derivatives(dist, order):
+    """H^(j)(1) for 1 <= j <= order from the construction record: the
+    geometric closed form j! (q/p)^j, else the factorial moments of the
+    reference pmf."""
+    if dist.kind == "geometric":
+        ratio = (1 - dist.p) / dist.p
+        return [math.factorial(j) * ratio**j for j in range(1, order + 1)]
+    h = reference_pmf(dist, 1 if dist.kind == "bernoulli" else len(dist.pmf) - 1)
+    return [sum(v * math.perm(k, j) for k, v in enumerate(h)) for j in range(1, order + 1)]
 
 
 def enumerate_survival(dist, u, horizon, claim_cap):

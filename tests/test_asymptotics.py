@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from ruinkit import (
     ClaimDistribution,
@@ -23,7 +23,13 @@ from ruinkit import (
 )
 from ruinkit.asymptotics import residuals_converged
 
-from common import bernoulli_fixtures, laws, primitive_fixtures, reference_pmf
+from common import (
+    bernoulli_fixtures,
+    laws,
+    primitive_fixtures,
+    reference_derivatives,
+    reference_pmf,
+)
 
 F = Fraction
 
@@ -295,3 +301,21 @@ def test_residues_are_correctly_rounded(dist):
         return
     want = float(1 / (2 - beta * _reference_h_prime(dist, 1 / beta)))
     assert abs(coeffs.b - want) <= math.ulp(want)
+
+
+@settings(max_examples=80, deadline=None)
+@example(dist=ClaimDistribution.geometric(F(1000, 2999)))
+@example(dist=ClaimDistribution.tabulated([F(1, 6), F(7, 24), F(1, 12), F(1, 4), F(5, 24)]))
+@example(dist=ClaimDistribution.tabulated([F(1, 4), 0, F(3, 10), F(2, 5), F(1, 20)]))
+@given(dist=laws.filter(lambda d: d.is_primitive()))
+def test_c_coefficients_are_the_rounded_paper_forms(dist):
+    # c1 = 1/(2 - EZ) when EZ != 2; at EZ = 2, c2 = 2/(H''(1) - 2) and
+    # c1 = (2 H'''(1) - 12 H''(1) + 24)/(3 (H''(1) - 2)^2), exact from the
+    # construction record and rounded once: no ulp of slack as EZ -> 2
+    d1, d2, d3 = reference_derivatives(dist, 3)
+    if d1 != 2:
+        want = (1 / (2 - d1), 0)
+    else:
+        want = ((2 * d3 - 12 * d2 + 24) / (3 * (d2 - 2) ** 2), 2 / (d2 - 2))
+    c = compute_coefficients(dist, root_profile(dist))
+    assert (c.c1, c.c2) == tuple(float(v) for v in want)

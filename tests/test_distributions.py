@@ -1,15 +1,14 @@
 """Claim-law construction, pmf access, p.g.f. values, moments, primitivity."""
 
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from ruinkit import ClaimDistribution, DistributionError
+from ruinkit import ClaimDistribution, DistributionError, compute_coefficients, root_profile
 from ruinkit.distributions import TAIL_EPSILON
 
-from common import all_fixtures, laws, reference_pmf
+from common import all_fixtures, laws, reference_derivatives, reference_pmf
 
 F = Fraction
 
@@ -73,29 +72,21 @@ def test_pgf_matches_series_summation():
 
 def test_moments_bernoulli():
     dist = ClaimDistribution.bernoulli(F(1, 4))
-    report = dist.pgf_derivatives_at_one(4)
-    assert report.mean == F(1, 4)
-    assert report.derivative(2) == 0
-    assert report.m2 == F(1, 4)  # Z^2 = Z for 0/1 claims
+    assert dist.mean() == F(1, 4)
+    c = compute_coefficients(dist, root_profile(dist))
+    assert (c.c1, c.c2) == (4 / 7, 0.0)  # 1/(2 - E Z)
 
 
 def test_moments_geometric_one_third():
-    report = ClaimDistribution.geometric(F(1, 3)).pgf_derivatives_at_one(2)
-    assert report.mean == 2
-    assert report.derivative(2) == 8
+    dist = ClaimDistribution.geometric(F(1, 3))
+    assert dist.mean() == 2
+    # critical mean with H''(1) = 8, H'''(1) = 48
+    c = compute_coefficients(dist, root_profile(dist))
+    assert (c.c1, c.c2) == (2 / 9, 1 / 3)
 
 
 def test_moments_even_two_point():
-    report = ClaimDistribution.tabulated([F(1, 2), 0, F(1, 2)]).pgf_derivatives_at_one(2)
-    assert report.mean == 1
-    assert report.derivative(2) == 1
-
-
-def test_moment_inequality():
-    for dist in all_fixtures():
-        report = dist.pgf_derivatives_at_one(2)
-        assert report.mean >= 0
-        assert report.m2 >= report.mean**2
+    assert ClaimDistribution.tabulated([F(1, 2), 0, F(1, 2)]).mean() == 1
 
 
 def test_mean_against_finite_difference():
@@ -181,6 +172,9 @@ def test_from_spec_rejects_unknown_and_conflicting_fields():
         ({"family": "bernoulli", "p": "1/2", "base": {"pmf": ["1"]}}, "conflict"),
         ({"family": "even_lattice", "base": {"pmf": ["1/2", "1/2"], "family": "bernoulli"}},
          "conflict"),
+        ({"pmf": "1"}, "must be an array"),
+        ({"pmf": {"1/2": 0, "1/2 ": 1}}, "must be an array"),
+        ({"family": "even_lattice", "base": {"pmf": "1"}}, "must be an array"),
     ]
     for spec, message in bad:
         with pytest.raises(DistributionError, match=message):
@@ -206,15 +200,12 @@ def test_pair_reproduces_the_law(dist):
     if geometric:
         assert dist.tail_mass(k_cut) < TAIL_EPSILON <= dist.tail_mass(k_cut - 1)
         assert dist.support_bound is None
-        derivs = tuple(math.factorial(j) * (q / dist.p) ** j for j in range(1, 5))
         odd_mass = q / (1 + q)
     else:
         h = reference_pmf(dist, 1 if dist.kind == "bernoulli" else len(dist.pmf) - 1)
         assert dist.support_bound == max(k for k, v in enumerate(h) if v)
-        derivs = tuple(sum(v * math.perm(k, j) for k, v in enumerate(h)) for j in range(1, 5))
         odd_mass = sum(h[1::2])
-    assert dist.pgf_derivatives_at_one(4).derivatives == derivs
-    assert dist.mean() == derivs[0]
+    assert dist.mean() == reference_derivatives(dist, 1)[0]
     assert dist.is_primitive() == (odd_mass > 0)
 
     for s in (F(-1), F(-1, 2), F(0), F(1, 3), F(1)):
