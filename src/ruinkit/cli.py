@@ -13,13 +13,21 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+# the builtin SHA-256: importing hashlib maps OpenSSL, +3.6 MB resident
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from . import asymptotics, oracle, recurrence, roots, series, survival
 from ._scalars import float_str, fraction_str
@@ -81,10 +89,11 @@ def parse_dist(text: str) -> ClaimDistribution:
 
 def jsonable(value):
     """Recursively convert to JSON-safe values with deterministic numbers."""
-    if isinstance(value, Fraction):
-        return fraction_str(value)
+    # float first: Fraction's isinstance check goes through ABCMeta
     if isinstance(value, float):
         return float_str(value)
+    if isinstance(value, Fraction):
+        return fraction_str(value)
     if isinstance(value, bool) or isinstance(value, int) or value is None:
         return value
     if isinstance(value, str):
@@ -120,7 +129,7 @@ def render_report(report: dict, fmt: str) -> str:
 
 def _dist_hash(dist: ClaimDistribution) -> str:
     canonical = json.dumps(dist.to_spec(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return sha256(canonical.encode()).hexdigest()
 
 
 def _emit(args, command: str, results: dict, diagnostics: dict, modes: list, status: int) -> int:

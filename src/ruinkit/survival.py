@@ -29,9 +29,11 @@ phi(2u) = phi(2u-1), as the closed form has phi(1) = phi(0)/h_0 = phi(2).
 
 Numerical discipline: x_u and y_u grow like alpha^u while phi stays in
 [0, 1], so the linear combination cancels catastrophically in floating
-point.  All reconstructions therefore run in exact rational arithmetic with
-alpha carried as a rational bracket refined to ~u_max*log2(alpha) + 64 bits,
-and only the finished values are rounded to floats.
+point.  All reconstructions therefore run in exact arithmetic with alpha
+carried as a rational bracket refined to ~u_max*log2(alpha) + 64 bits, and
+only the finished values are rounded to floats: each table entry is one
+integer numerator over one integer denominator, divided once, which Python
+rounds correctly, with no gcd and no reduced Fraction.
 """
 from __future__ import annotations
 
@@ -144,21 +146,29 @@ def phi_table(dist: ClaimDistribution, phi0, phi1, u_max: int) -> list[float]:
     by any route, for every law (primitive or on the even lattice).
 
     x_u = N_u / q_0^(u+1) and y_u = N_{u+1} / (r_0 q_0^(u+1)) are read off
-    the integer numerators of the recurrence (see recurrence), so each entry
-    is one exact rational, floated once.  Initial values are converted to
-    exact rationals (floats convert exactly), so the growing x_u, y_u cancel
-    without noise at the precision the initial values carry; for large u_max
-    pass high-precision rationals, as solve() does.
+    the integer numerators of the recurrence (see recurrence).  With the
+    initial values as exact rationals phi(0) = A/B and phi(1) = C/E (floats
+    convert exactly), each entry is the one int/int quotient
+
+        phi(u) = (N_u A E r_0 + N_{u+1} C B) / (B E r_0 q_0^(u+1)),
+
+    which Python rounds correctly, so it is the float of the exact rational
+    with no gcd taken; a value past the double range raises OverflowError.
+    The growing x_u, y_u cancel without noise at the precision the initial
+    values carry; for large u_max pass high-precision rationals, as solve()
+    does.
     """
     if u_max < 0:
         raise ValueError("u_max must be non-negative")
     table = _integer_table(dist, u_max)
-    big, q0 = table.numerators, table.q0
-    p0, c1 = Fraction(phi0), Fraction(phi1) / table.r0
+    big, q0, r0 = table.numerators, table.q0, table.r0
+    p0, p1 = Fraction(phi0), Fraction(phi1)
+    c0 = p0.numerator * p1.denominator * r0
+    c1 = p1.numerator * p0.denominator
+    den = p0.denominator * p1.denominator * r0 * q0
     out: list[float] = []
-    den = q0
     for u in range(u_max + 1):
-        out.append(float((big[u] * p0 + big[u + 1] * c1) / den))
+        out.append((big[u] * c0 + big[u + 1] * c1) / den)
         den *= q0
     return out
 

@@ -7,6 +7,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from ruinkit import ClaimDistribution
+from ruinkit.recurrence import _integer_table
 
 
 def _pmf(weights):
@@ -225,6 +226,20 @@ def reference_phi_half(dist, p0, p1, u_max):
                 acc -= hh[v + 1 - k] * psi[k]
         psi.append(acc / hh[0])
     return [psi[0]] + [psi[(u + 1) // 2] for u in range(1, u_max + 1)]
+
+
+def reference_phi_table(dist, phi0, phi1, u_max):
+    """phi(0..u_max) = x_u phi(0) + y_u phi(1) as reduced Fractions, one per
+    entry, from the integer numerators: (N_u p0 + N_{u+1} p1/r_0) / q_0^(u+1)."""
+    table = _integer_table(dist, u_max)
+    big, q0 = table.numerators, table.q0
+    p0, c1 = Fraction(phi0), Fraction(phi1) / table.r0
+    out = []
+    den = q0
+    for u in range(u_max + 1):
+        out.append((big[u] * p0 + big[u + 1] * c1) / den)
+        den *= q0
+    return out
 
 
 def reference_survivors(u, cfg, start, count, cdf):

@@ -1,6 +1,7 @@
 """CLI: parsing, deterministic reports, exit codes, verify wiring."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from ruinkit import ClaimDistribution, build_table, cli
 from ruinkit.distributions import DistributionError
 
-from common import laws, reference_ratio
+from common import all_fixtures, laws, reference_ratio
 
 
 def run(capsys, argv):
@@ -33,6 +34,17 @@ def test_table_roundtrip(capsys):
     assert report["results"]["d"][0] == "1"
     assert report["dist"] == {"family": "bernoulli", "p": "1/2"}
     assert len(report["dist_sha256"]) == 64
+
+
+def test_dist_sha256_is_the_sha256_of_the_canonical_spec(capsys):
+    # the report hash uses the interpreter's builtin SHA-256, not hashlib's
+    even = ClaimDistribution.even_lattice(["1/2", "1/4", "1/4"])
+    for dist in [*all_fixtures(), even]:
+        spec = dist.to_spec()
+        code, out = run(capsys, ["table", "--dist", json.dumps(spec), "--n", "2"])
+        assert code == 0
+        canonical = json.dumps(spec, sort_keys=True, separators=(",", ":"))
+        assert json.loads(out)["dist_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def test_conjecture_holds(capsys):

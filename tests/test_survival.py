@@ -27,6 +27,7 @@ from common import (
     laws,
     reference_limit,
     reference_phi_half,
+    reference_phi_table,
     reference_table,
     reference_xi,
     survivable_fixtures,
@@ -231,6 +232,34 @@ def test_phi_table_matches_half_process_on_even_lattice(dist, u_max):
         except OverflowError:  # E Z > 2: the continued pair grows without bound
             break
     assert phi_table(dist, p0, p1, len(want) - 1) == want
+
+
+_initial_values = st.one_of(
+    st.floats(-2, 2),
+    st.fractions(-2, 2, max_denominator=10**12),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dist=laws,
+    phi0=_initial_values,
+    phi1=_initial_values,
+    u_max=st.integers(0, 120),
+)
+# alpha = 11 for this law, so a pair off the closed form outgrows a double
+@example(dist=ClaimDistribution.tabulated([F(1, 12), F(5, 6), F(1, 12)]),
+         phi0=0.5, phi1=F(1, 3), u_max=400)
+def test_phi_table_is_the_float_of_the_reduced_fraction(dist, phi0, phi1, u_max):
+    # one int/int quotient per entry rounds as float(Fraction) does, on
+    # primitive, even-lattice and E Z >= 2 laws, overflow included
+    try:
+        want = [float(v) for v in reference_phi_table(dist, phi0, phi1, u_max)]
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            phi_table(dist, phi0, phi1, u_max)
+    else:
+        assert phi_table(dist, phi0, phi1, u_max) == want
 
 
 def test_pi_values_geometric_half():
