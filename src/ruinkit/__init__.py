@@ -8,7 +8,6 @@ oracles (dynamic programming and seeded Monte Carlo).
 """
 
 from .asymptotics import (
-    AsymptoticCoefficients,
     compute_coefficients,
     determinant_ratio_limit,
     geometric_margin_factor,
@@ -20,19 +19,11 @@ from .asymptotics import (
     xn_residuals,
 )
 from .distributions import ClaimDistribution, DistributionError
-from .oracle import DPConfig, DPResult, MCConfig, MCResult, finite_horizon_dp, mc_estimate
-from .recurrence import ConjectureReport, SequenceTable, build_table, check_conjecture
-from .roots import (
-    RootLocationError,
-    RootProfile,
-    refine_alpha,
-    root_profile,
-    vanishing_order,
-)
+from .oracle import DPConfig, MCConfig, finite_horizon_dp, mc_estimate
+from .recurrence import build_table, check_conjecture
+from .roots import RootLocationError, refine_alpha, root_profile, vanishing_order
 from .series import deflate_G
 from .survival import (
-    LimitEstimate,
-    SurvivalSolution,
     initial_values_closed_form,
     initial_values_limit,
     phi_table,
@@ -44,19 +35,11 @@ from .survival import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticCoefficients",
     "ClaimDistribution",
-    "ConjectureReport",
     "DistributionError",
     "DPConfig",
-    "DPResult",
-    "LimitEstimate",
     "MCConfig",
-    "MCResult",
     "RootLocationError",
-    "RootProfile",
-    "SequenceTable",
-    "SurvivalSolution",
     "build_table",
     "check_conjecture",
     "compute_coefficients",

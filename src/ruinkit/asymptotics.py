@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from .distributions import ClaimDistribution, _series, _value
 from .recurrence import SequenceTable, _pattern_scan
-from .roots import RootProfile, _deflate_at_one, _zero, refine_alpha
+from .roots import RootProfile, _deflate_at_one
 
 #: relative residual floor for "expansion has converged" checks
 DEFAULT_RESIDUAL_EPS = 1e-9
@@ -70,10 +70,11 @@ def compute_coefficients(dist: ClaimDistribution, roots: RootProfile) -> Asympto
 
     With H = P/R and Q = P - s^2 R, a and b are the residues -P(s)/(s Q'(s))
     of X at s = -1/alpha and s = 1/beta, exact at rational roots good to
-    128 bits or more.  With Q = (1 - s)^r K and (P/K)(1 - t) = e_0 + e_1 t
-    + ..., X = e_0/t^r + e_1/t^(r-1) + ... at t = 1 - s, so c_r = e_0 and
-    c_(r-1) = e_1: the paper's closed forms of c1, c2 above, without their
-    cancellation as E Z -> 2.
+    128 bits or more, continued from the brackets in ``roots``.  With
+    Q = (1 - s)^r K and (P/K)(1 - t) = e_0 + e_1 t + ..., X = e_0/t^r +
+    e_1/t^(r-1) + ... at t = 1 - s, so c_r = e_0 and c_(r-1) = e_1: the
+    paper's closed forms of c1, c2 above, without their cancellation as
+    E Z -> 2.
     """
     if not dist.is_primitive():
         raise ValueError("expansion coefficients are defined for primitive laws only")
@@ -86,13 +87,12 @@ def compute_coefficients(dist: ClaimDistribution, roots: RootProfile) -> Asympto
         # int/int quotient: _value(f, n, d) = f(n/d) d^(deg f)
         return -_value(p, n, d) * d ** (len(q) - len(p)) / _value(s_dq, n, d)
 
-    alpha_rat = refine_alpha(dist, 128)
+    alpha_rat, beta_rat = roots.refined(128)
     a = residue(-alpha_rat.denominator, alpha_rat.numerator)
     beta = roots.beta
     b = 0.0
-    if beta is not None:
-        s_beta = _zero(q, 0, 1, 128)[0]
-        b = residue(s_beta.numerator, s_beta.denominator)
+    if beta_rat is not None:
+        b = residue(beta_rat.denominator, beta_rat.numerator)
     elif r == 1 and len(den) == 2 and len(q) == 4:
         # a cubic Q has roots 1, -1/alpha and 1/beta, the last one outside
         # the closed disk here; Vieta's product gives 1/beta = alpha q_0/q_3

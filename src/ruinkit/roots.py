@@ -19,10 +19,11 @@ and R > 0 on [-1, 1], so that Q has the sign of H - s^2 on the disk:
   in the final bracket is tried as an exact root;
 * r is the multiplicity of s = 1 as a root of Q = (1 - s)^r K.
 
-``refine_alpha`` returns the rational midpoint of a bracket of any width
-(or a rational root exactly), which downstream series evaluations use to
-keep the single irrational from amplifying through exact recurrences; the
-float roots are those of 64-bit brackets, rounded once.
+The float roots are those of 64-bit brackets, rounded once.  The profile
+keeps those brackets, and ``RootProfile.refined`` continues them to a
+rational root of any width (``refine_alpha`` starts afresh from [-1, 0]),
+which downstream series evaluations use to keep the single irrational from
+amplifying through exact recurrences.
 """
 
 from __future__ import annotations
@@ -43,17 +44,32 @@ class RootLocationError(ValueError):
     """Raised when a guaranteed bracket or zero count is not available."""
 
 
+#: a dyadic bracket (neg, pos, k) of a zero of Q, or the root once hit
+Bracket = tuple[int, int, int] | Fraction
+
+
 @dataclass(frozen=True)
 class RootProfile:
     """alpha > 1, optional beta (1 < beta < alpha, iff E Z > 2), and the
     vanishing order r at s = 1, plus the width of the widest exact bracket
-    behind alpha and beta (0 when both are hit exactly)."""
+    behind alpha and beta (0 when both are hit exactly), and the exact
+    state of those bisections, which ``refined`` continues."""
 
     alpha: float
     beta: float | None
     r: int
     bracket_width_achieved: float
     dist: ClaimDistribution
+    alpha_bracket: Bracket
+    beta_bracket: Bracket | None
+
+    def refined(self, bits: int) -> tuple[Fraction, Fraction | None]:
+        """(alpha, beta) from brackets of width 2**-bits in s, or exactly at
+        a rational root: what fresh bisections give (bits >= 64), halving
+        only past the profile's own 64 bits."""
+        q = self.dist.rational_pgf[2]
+        beta = None if self.beta_bracket is None else 1 / _zero(q, self.beta_bracket, bits)[0]
+        return -1 / _zero(q, self.alpha_bracket, bits)[0], beta
 
 
 def _q(dist: ClaimDistribution) -> tuple[int, ...]:
@@ -70,43 +86,39 @@ def _q(dist: ClaimDistribution) -> tuple[int, ...]:
     return dist.rational_pgf[2]
 
 
-def _bisect(q: list[int], lo: int, hi: int, steps: int) -> tuple[Fraction, Fraction]:
-    """Halve [lo, hi] (integers, Q(lo) != 0, one sign change of Q inside)
-    ``steps`` times and return the final bracket, or (mid, mid) at a
-    midpoint that is an exact root.
+def _zero(q: list[int], bracket: Bracket, bits: int) -> tuple[Fraction, Fraction, Bracket]:
+    """(s, width, state) for the one zero of Q in ``bracket``, halved down
+    to width 2**-bits: s exactly with width 0 when that root is hit, else
+    the midpoint of the final bracket, and the state to continue from.
 
-    After k halvings the bracket is [lo, hi]/2^k with integer ends, and its
-    midpoint (lo + hi)/2^(k+1) is signed by ``_value`` exactly.
-    """
-    positive_lo = _value(q, lo, 1) > 0
-    for k in range(1, steps + 1):
-        mid = lo + hi
-        lo, hi = 2 * lo, 2 * hi
-        v = _value(q, mid, 1 << k)
-        if not v:
-            return Fraction(mid, 1 << k), Fraction(mid, 1 << k)
-        if (v > 0) == positive_lo:
-            lo = mid
-        else:
-            hi = mid
-    return Fraction(lo, 1 << steps), Fraction(hi, 1 << steps)
-
-
-def _zero(q: list[int], lo: int, hi: int, bits: int) -> tuple[Fraction, Fraction]:
-    """(s, width) for the one zero of Q in the unit interval [lo, hi]
-    (integers, Q(lo) != 0): s exactly with width 0 when that root is hit,
-    else the midpoint of its bracket of width 2**-bits.
+    In (neg, pos, k) the zero lies between neg/2^k and pos/2^k, with Q < 0
+    towards neg and Q > 0 towards pos; k = 0 for the unit intervals.  Each
+    halving signs the midpoint (neg + pos)/2^(k+1) exactly by ``_value``,
+    so a continued bracket is the one a fresh bisection reaches.
 
     A rational root whose denominator is at most 2**(bits//2 - 1) is hit:
     two such fractions lie at least 2**(2 - bits) apart, so the nearest one
     to the midpoint is the only one the bracket can hold.
     """
-    lo, hi = _bisect(q, lo, hi, bits)
-    mid = (lo + hi) / 2
-    near = mid.limit_denominator(2 ** max(0, bits // 2 - 1))
-    if lo < near < hi and _value(q, near.numerator, near.denominator) == 0:
-        return near, Fraction(0)
-    return mid, hi - lo
+    if isinstance(bracket, Fraction):
+        return bracket, Fraction(0), bracket
+    neg, pos, k = bracket
+    for k in range(k + 1, bits + 1):
+        mid = neg + pos
+        neg, pos = 2 * neg, 2 * pos
+        v = _value(q, mid, 1 << k)
+        if not v:
+            root = Fraction(mid, 1 << k)
+            return root, Fraction(0), root
+        if v > 0:
+            pos = mid
+        else:
+            neg = mid
+    mid, width = Fraction(neg + pos, 1 << (k + 1)), Fraction(1, 1 << k)
+    near = mid.limit_denominator(2 ** max(0, k // 2 - 1))
+    if abs(near - mid) < width / 2 and _value(q, near.numerator, near.denominator) == 0:
+        return near, Fraction(0), near
+    return mid, width, (neg, pos, k)
 
 
 def _deflate_at_one(q) -> tuple[int, list[int]]:
@@ -211,15 +223,17 @@ def root_profile(dist: ClaimDistribution) -> RootProfile:
         raise RootLocationError(
             f"anomalous interior root count: expected {expected}, Sturm count {found}"
         )
-    s, width = _zero(q, -1, 0, _FLOAT_BITS)
-    beta = None
+    s, width, alpha_bracket = _zero(q, (-1, 0, 0), _FLOAT_BITS)
+    beta = beta_bracket = None
     if expected == 2:
-        # Q(0) = p_0 > 0, and the count leaves one sign change in (0, 1)
-        s_beta, width_beta = _zero(q, 0, 1, _FLOAT_BITS)
+        # Q(0) = p_0 > 0, and the count leaves one sign change in (0, 1),
+        # so Q < 0 between 1/beta and 1
+        s_beta, width_beta, beta_bracket = _zero(q, (1, 0, 0), _FLOAT_BITS)
         beta, width = float(1 / s_beta), max(width, width_beta)
     return RootProfile(
         alpha=float(-1 / s), beta=beta, r=vanishing_order(dist),
         bracket_width_achieved=float(width), dist=dist,
+        alpha_bracket=alpha_bracket, beta_bracket=beta_bracket,
     )
 
 
@@ -245,6 +259,7 @@ def refine_alpha(dist: ClaimDistribution, bits: int = 256) -> Fraction:
     ``_zero``).  Series reconstructions of survival probabilities
     combine terms of size alpha^n that cancel to O(1); carrying alpha as a
     rational of width 2**-bits keeps that cancellation exact up to
-    n ~ bits/log2(alpha).
+    n ~ bits/log2(alpha).  It starts afresh from [-1, 0]; a RootProfile
+    gives the same value with fewer halvings (``RootProfile.refined``).
     """
-    return -1 / _zero(_q(dist), -1, 0, bits)[0]
+    return -1 / _zero(_q(dist), (-1, 0, 0), bits)[0]

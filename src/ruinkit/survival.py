@@ -72,11 +72,11 @@ def _alpha_bits(alpha: float, n_terms: int) -> int:
     return max(192, int(n_terms * math.log2(max(alpha, 1.0 + 1e-9))) + 64)
 
 
-def _exact_alpha(dist: ClaimDistribution, bits: int = 64) -> Fraction:
-    """alpha as one exact rational: refine_alpha's bracket of ``bits`` bits
-    (or the rational root itself) for a primitive law, and 1 on the even
-    lattice, where H(-1) = 1 makes s = -1 a root of H(s) = s^2."""
-    return refine_alpha(dist, bits) if dist.is_primitive() else Fraction(1)
+def _exact_alpha(dist: ClaimDistribution) -> Fraction:
+    """alpha as one exact rational: refine_alpha's 64-bit bracket (or the
+    rational root itself) for a primitive law, and 1 on the even lattice,
+    where H(-1) = 1 makes s = -1 a root of H(s) = s^2."""
+    return refine_alpha(dist, 64) if dist.is_primitive() else Fraction(1)
 
 
 def initial_values_closed_form(dist: ClaimDistribution, alpha=None) -> tuple:
@@ -236,9 +236,9 @@ def solve(
     """Produce the survival solution, running the requested verification routes.
 
     The closed form is always the route of record for phi(0), phi(1), and pi
-    comes from the same exact alpha: a bracket of refine_alpha precise
-    enough for the table through u_max + 1, or alpha = 1 on the even lattice,
-    where the xi route is skipped.  The
+    comes from the same exact alpha: the root profile's bracket continued
+    until it is precise enough for the table through u_max + 1, or alpha = 1
+    on the even lattice, where the xi route is skipped.  The
     ratio route at n_limit and the generating-function route are computed on
     request ("limit", "xi", or "all") and surfaced in diagnostics together
     with the maximum pairwise disagreement ``max_route_delta``.  Every regime
@@ -274,7 +274,7 @@ def solve(
         if primitive:
             profile = root_profile(dist)
             bits = _alpha_bits(profile.alpha, max(u_max, 8))
-            alpha = refine_alpha(dist, bits)
+            alpha = profile.refined(bits)[0]
             diagnostics["alpha"] = profile.alpha
             diagnostics["alpha_bits"] = bits
             diagnostics["vanishing_order"] = profile.r

@@ -1,6 +1,7 @@
 """Root location: brackets, goldens, residuals, orders, guards."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import example, given, settings
 from ruinkit import (
     ClaimDistribution,
     RootLocationError,
+    compute_coefficients,
     refine_alpha,
     root_profile,
+    solve,
     vanishing_order,
 )
 from ruinkit import roots
@@ -210,3 +213,59 @@ def test_refine_alpha_bracket_width():
     a160 = refine_alpha(dist, bits=160)
     # both bracket the same irrational; agreement far below float resolution
     assert abs(a128 - a160) < F(1, 2**100)
+
+
+@settings(max_examples=20, deadline=None)
+@given(dist=laws.filter(lambda d: d.is_primitive()))
+@example(dist=ClaimDistribution.tabulated([F(1, 7), 0, 0, F(6, 7)]))  # alpha 3, beta 2
+@example(dist=ClaimDistribution.bernoulli(F(4, 5)))
+@example(dist=ClaimDistribution.bernoulli(F(1, 2)))
+@example(dist=ClaimDistribution.tabulated([F(1, 12), F(5, 6), F(1, 12)]))
+def test_profile_continues_to_fresh_bisection(dist):
+    # the profile's 64-bit brackets, continued, land where a fresh
+    # bisection of [-1, 0] or [0, 1] to the same depth does
+    profile = root_profile(dist)
+    q = dist.rational_pgf[2]
+    for bits in (64, 65, 128, 1000):
+        alpha, beta = profile.refined(bits)
+        assert alpha == refine_alpha(dist, bits) == reference_refine_alpha(dist, bits)
+        if dist.mean() > 2:
+            assert beta == 1 / roots._zero(q, (1, 0, 0), bits)[0]
+        else:
+            assert beta is None
+
+
+def test_profile_keeps_hit_roots():
+    # alpha = 3: s = -1/3 is no midpoint, limit_denominator finds it at 64
+    # bits; beta = 2: s = 1/2 is the first midpoint of [0, 1]
+    profile = root_profile(ClaimDistribution.tabulated([F(1, 7), 0, 0, F(6, 7)]))
+    assert (profile.alpha_bracket, profile.beta_bracket) == (F(-1, 3), F(1, 2))
+    assert profile.refined(128) == (3, 2)
+    assert profile.bracket_width_achieved == 0
+
+
+def _count_halvings(monkeypatch) -> Counter:
+    """Midpoints the bisection signs, by the zero they close in on: a
+    halving evaluates Q at m/2^k (k >= 1), m < 0 for alpha, m > 0 for beta."""
+    halvings, value = Counter(), roots._value
+
+    def counted(q, n, d):
+        if d > 1 and not d & (d - 1):
+            halvings["beta" if n > 0 else "alpha"] += 1
+        return value(q, n, d)
+
+    monkeypatch.setattr(roots, "_value", counted)
+    return halvings
+
+
+def test_solve_halves_alpha_bits_times(monkeypatch):
+    halvings = _count_halvings(monkeypatch)
+    sol = solve(ClaimDistribution.geometric(F(1, 2)), u_max=400)
+    assert halvings == {"alpha": sol.diagnostics["alpha_bits"]}
+
+
+def test_coefficients_halve_each_zero_128_times(monkeypatch):
+    halvings = _count_halvings(monkeypatch)
+    dist = ClaimDistribution.geometric(F(1, 4))  # E Z = 3, both roots irrational
+    compute_coefficients(dist, root_profile(dist))
+    assert halvings == {"alpha": 128, "beta": 128}
