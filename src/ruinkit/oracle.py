@@ -204,13 +204,16 @@ def _simulate_block(
 
     ``start`` is 4-aligned, so word ``start`` opens a Philox counter block.
     Only live trials are stepped: ``trial`` and ``w`` hold the index and the
-    surplus of each, compacted after every step that ruins one.
+    surplus of each, compacted after every step that ruins one.  No claim
+    lowers the surplus by more than len(cdf) - 2, so a trial started above
+    (len(cdf) - 2)·horizon survives whatever it draws, and the surplus is
+    clamped to one more than that to fit in int64 with the same survivors.
     """
     import numpy as np
 
     key = np.uint64(cfg.seed)
     trial = np.arange(count)
-    w = np.full(count, u, dtype=np.int64)
+    w = np.full(count, min(u, max(0, len(cdf) - 2) * cfg.horizon + 1), dtype=np.int64)
     for step in range(1, cfg.horizon + 1):
         raw = np.random.Philox(key=key, counter=(step << 128) + (start >> 2)).random_raw(count)
         if len(trial) < count:

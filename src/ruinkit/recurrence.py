@@ -111,7 +111,7 @@ def _integer_table(dist: ClaimDistribution, n_max: int) -> SequenceTable:
     """
     p, r, q = dist.rational_pgf
     q0 = q[0]
-    steps = [(k, q[k] * q0 ** (k - 1)) for k in range(1, len(q)) if q[k]]
+    steps = _steps(q)
     out: list[int] = []
     scale = 1
     for n in range(n_max + 2):
@@ -125,6 +125,12 @@ def _integer_table(dist: ClaimDistribution, n_max: int) -> SequenceTable:
             acc -= c * out[n - k]
         out.append(acc)
     return SequenceTable(dist, out, q0, r[0])
+
+
+def _steps(q) -> list[tuple[int, int]]:
+    """(k, q_k q_0^(k-1)) for each nonzero q_k, k >= 1: the coefficients of
+    the numerator recurrence, in increasing k."""
+    return [(k, q[k] * q[0] ** (k - 1)) for k in range(1, len(q)) if q[k]]
 
 
 @dataclass

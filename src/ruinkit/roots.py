@@ -12,11 +12,15 @@ and R > 0 on [-1, 1], so that Q has the sign of H - s^2 on the disk:
 * a Sturm sequence of Q counts its distinct interior zeros exactly, which
   rules out the theoretically excluded event of extra interior roots,
   double ones included;
-* both interior zeros come from one exact bisection on the dyadic points
+* both interior zeros come from one exact search on the dyadic points
   m/2^k, whose signs are those of the integers Q(m/2^k)·2^(k·deg Q);
   Q(-1) < 0 < Q(0) brackets -1/alpha, and Q(0) > 0 with the single zero
-  in (0, 1) brackets 1/beta; the nearest fraction of small denominator
-  in the final bracket is tried as an exact root;
+  in (0, 1) brackets 1/beta.  The bracket is halved to width 2^-16, then
+  each exact Newton step from its midpoint doubles k: the signs of Q at
+  the two ends of the cell it names certify that cell, a neighbour is
+  tried on a miss, and halving takes over where certification fails.
+  Every bracket is the one halving alone reaches.  The nearest fraction
+  of small denominator in the final bracket is tried as an exact root;
 * r is the multiplicity of s = 1 as a root of Q = (1 - s)^r K.
 
 The float roots are those of 64-bit brackets, rounded once.  The profile
@@ -35,9 +39,15 @@ from itertools import accumulate
 
 from .distributions import ClaimDistribution, _value
 
-#: halvings behind the float roots: a bracket of width 2**-64 in s pins
+#: bits behind the float roots: a bracket of width 2**-64 in s pins
 #: alpha and beta far below binary64 resolution before their one rounding
 _FLOAT_BITS = 64
+#: the level from which ``_zero`` doubles by Newton steps instead of halving
+_NEWTON_FROM = 16
+#: cells beside the Newton candidate that ``_newton`` tries before giving
+#: up; on random tabulated laws about one Newton step in a thousand misses
+#: by more, where Q''/Q' is large near the zero
+_NEIGHBOURS = 4
 
 
 class RootLocationError(ValueError):
@@ -53,7 +63,7 @@ class RootProfile:
     """alpha > 1, optional beta (1 < beta < alpha, iff E Z > 2), and the
     vanishing order r at s = 1, plus the width of the widest exact bracket
     behind alpha and beta (0 when both are hit exactly), and the exact
-    state of those bisections, which ``refined`` continues."""
+    state of those searches, which ``refined`` continues."""
 
     alpha: float
     beta: float | None
@@ -65,7 +75,7 @@ class RootProfile:
 
     def refined(self, bits: int) -> tuple[Fraction, Fraction | None]:
         """(alpha, beta) from brackets of width 2**-bits in s, or exactly at
-        a rational root: what fresh bisections give (bits >= 64), halving
+        a rational root: what fresh bisections give (bits >= 64), searching
         only past the profile's own 64 bits."""
         q = self.dist.rational_pgf[2]
         beta = None if self.beta_bracket is None else 1 / _zero(q, self.beta_bracket, bits)[0]
@@ -87,14 +97,20 @@ def _q(dist: ClaimDistribution) -> tuple[int, ...]:
 
 
 def _zero(q: list[int], bracket: Bracket, bits: int) -> tuple[Fraction, Fraction, Bracket]:
-    """(s, width, state) for the one zero of Q in ``bracket``, halved down
-    to width 2**-bits: s exactly with width 0 when that root is hit, else
-    the midpoint of the final bracket, and the state to continue from.
+    """(s, width, state) for the one zero of Q in ``bracket``, narrowed
+    down to width 2**-bits: s exactly with width 0 when that root is hit,
+    else the midpoint of the final bracket, and the state to continue from.
 
     In (neg, pos, k) the zero lies between neg/2^k and pos/2^k, with Q < 0
-    towards neg and Q > 0 towards pos; k = 0 for the unit intervals.  Each
-    halving signs the midpoint (neg + pos)/2^(k+1) exactly by ``_value``,
-    so a continued bracket is the one a fresh bisection reaches.
+    towards neg and Q > 0 towards pos; k = 0 for the unit intervals.  Up to
+    level _NEWTON_FROM the bracket is halved, each midpoint signed exactly
+    by ``_value``.  From there each step doubles the level (``_newton``):
+    one exact Newton step from the midpoint names a cell of width
+    2**-min(2k, bits), and the signs of Q at its two dyadic ends certify
+    it.  The certified cell is the one dyadic cell of that width holding
+    the zero, so every state, and a dyadic root met on the way, is what
+    halving alone reaches; where certification fails the bracket is halved
+    to that level instead.
 
     A rational root whose denominator is at most 2**(bits//2 - 1) is hit:
     two such fractions lie at least 2**(2 - bits) apart, so the nearest one
@@ -103,22 +119,76 @@ def _zero(q: list[int], bracket: Bracket, bits: int) -> tuple[Fraction, Fraction
     if isinstance(bracket, Fraction):
         return bracket, Fraction(0), bracket
     neg, pos, k = bracket
-    for k in range(k + 1, bits + 1):
-        mid = neg + pos
-        neg, pos = 2 * neg, 2 * pos
-        v = _value(q, mid, 1 << k)
-        if not v:
-            root = Fraction(mid, 1 << k)
-            return root, Fraction(0), root
-        if v > 0:
-            pos = mid
+    while k < bits:
+        if k < _NEWTON_FROM:
+            state = _halve(q, neg, pos, k, min(bits, _NEWTON_FROM))
         else:
-            neg = mid
+            level = min(2 * k, bits)
+            state = _newton(q, neg, pos, k, level)
+            if state is None:
+                state = _halve(q, neg, pos, k, level)
+        if isinstance(state, Fraction):
+            return state, Fraction(0), state
+        neg, pos, k = state
     mid, width = Fraction(neg + pos, 1 << (k + 1)), Fraction(1, 1 << k)
     near = mid.limit_denominator(2 ** max(0, k // 2 - 1))
     if abs(near - mid) < width / 2 and _value(q, near.numerator, near.denominator) == 0:
         return near, Fraction(0), near
     return mid, width, (neg, pos, k)
+
+
+def _halve(q: list[int], neg: int, pos: int, k: int, level: int) -> Bracket:
+    """The bracket (neg, pos, k) halved down to ``level``, or the dyadic
+    root a midpoint hits on the way."""
+    for k in range(k + 1, level + 1):
+        mid = neg + pos
+        neg, pos = 2 * neg, 2 * pos
+        v = _value(q, mid, 1 << k)
+        if not v:
+            return Fraction(mid, 1 << k)
+        if v > 0:
+            pos = mid
+        else:
+            neg = mid
+    return neg, pos, level
+
+
+def _newton(q: list[int], neg: int, pos: int, k: int, level: int) -> Bracket | None:
+    """The cell of width 2**-level that holds the zero of the bracket
+    (neg, pos, k), or the root at one of its ends, from one exact Newton
+    step; None when neither that cell nor a neighbour is certified.
+
+    From the midpoint x = m/2^(k+1), x - Q(x)/Q'(x) = (mD - V)/(D 2^(k+1))
+    with V = Q(x)·2^((k+1) deg Q) and D = Q'(x)·2^((k+1)(deg Q - 1)).  A
+    cell inside the bracket whose end signs differ holds the zero, which
+    is the only one in the bracket; equal end signs say on which side it
+    lies.
+    """
+    m, two = neg + pos, 1 << (k + 1)
+    v = _value(q, m, two)
+    if not v:
+        return Fraction(m, two)
+    d = _value([i * c for i, c in enumerate(q)][1:], m, two)
+    if not d:
+        return None
+    shift, cell = level - k, 1 << level
+    lo, step = min(neg, pos) << shift, (1 if pos > neg else -1)
+    hi = (max(neg, pos) << shift) - 1
+    a = min(max(((m * d - v) << (shift - 1)) // d, lo), hi)
+    values: dict[int, int] = {}
+    for _ in range(_NEIGHBOURS + 1):
+        for end in (a, a + 1):
+            if end not in values:
+                values[end] = _value(q, end, cell)
+                if not values[end]:
+                    return Fraction(end, cell)
+        if (values[a] > 0) != (values[a + 1] > 0):
+            return (a, a + 1, level) if values[a] < 0 else (a + 1, a, level)
+        # both ends on one side of the zero, which lies towards pos if Q < 0
+        a += step if values[a] < 0 else -step
+        if not lo <= a <= hi:
+            return None
+    return None
 
 
 def _deflate_at_one(q) -> tuple[int, list[int]]:
@@ -253,13 +323,13 @@ def beta_residual(dist: ClaimDistribution, beta: float) -> float:
 def refine_alpha(dist: ClaimDistribution, bits: int = 256) -> Fraction:
     """Rational alpha with the defining bracket narrowed to width 2**-bits.
 
-    Exact integer bisection of Q on [-1, 0]: every sign is exact, so the
-    returned rational brackets the true alpha to the stated width, and a
-    rational root of small denominator is returned exactly (see
-    ``_zero``).  Series reconstructions of survival probabilities
-    combine terms of size alpha^n that cancel to O(1); carrying alpha as a
-    rational of width 2**-bits keeps that cancellation exact up to
-    n ~ bits/log2(alpha).  It starts afresh from [-1, 0]; a RootProfile
-    gives the same value with fewer halvings (``RootProfile.refined``).
+    Exact integer search of Q on [-1, 0] (see ``_zero``), whose result is
+    the bisection's: every sign is exact, so the returned rational brackets
+    the true alpha to the stated width, and a rational root of small
+    denominator is returned exactly.  Series reconstructions of survival
+    probabilities combine terms of size alpha^n that cancel to O(1);
+    carrying alpha as a rational of width 2**-bits keeps that cancellation
+    exact up to n ~ bits/log2(alpha).  It starts afresh from [-1, 0]; a
+    RootProfile gives the same value with less work (``RootProfile.refined``).
     """
     return -1 / _zero(_q(dist), (-1, 0, 0), bits)[0]

@@ -38,11 +38,12 @@ rounds correctly, with no gcd and no reduced Fraction.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .distributions import ClaimDistribution
-from .recurrence import SequenceTable, _integer_table, build_table
+from .recurrence import SequenceTable, _integer_table, _steps, build_table
 from .roots import refine_alpha, root_profile
 
 SURVIVABLE = "survivable"
@@ -150,25 +151,41 @@ def phi_table(dist: ClaimDistribution, phi0, phi1, u_max: int) -> list[float]:
     initial values as exact rationals phi(0) = A/B and phi(1) = C/E (floats
     convert exactly), each entry is the one int/int quotient
 
-        phi(u) = (N_u A E r_0 + N_{u+1} C B) / (B E r_0 q_0^(u+1)),
+        phi(u) = F_u / (B E r_0 q_0^(u+1)),   F_u = N_u A E r_0 + N_{u+1} C B,
 
     which Python rounds correctly, so it is the float of the exact rational
     with no gcd taken; a value past the double range raises OverflowError.
-    The growing x_u, y_u cancel without noise at the precision the initial
-    values carry; for large u_max pass high-precision rationals, as solve()
-    does.
+    From u = max(len P, len Q) on, N_u and N_{u+1} both follow N's
+    homogeneous recurrence, and so does their combination:
+
+        F_u = -sum_k q_k q_0^(k-1) F_{u-k}.
+
+    So the numerators are formed only up to there, and every later F_u
+    costs deg Q small-by-big products, with the last deg Q values of F the
+    only numerators alive.  The growing x_u, y_u cancel without noise at
+    the precision the initial values carry; for large u_max pass
+    high-precision rationals, as solve() does.
     """
     if u_max < 0:
         raise ValueError("u_max must be non-negative")
-    table = _integer_table(dist, u_max)
+    p, _r, q = dist.rational_pgf
+    table = _integer_table(dist, min(u_max, max(len(p), len(q)) - 1))
     big, q0, r0 = table.numerators, table.q0, table.r0
     p0, p1 = Fraction(phi0), Fraction(phi1)
     c0 = p0.numerator * p1.denominator * r0
     c1 = p1.numerator * p0.denominator
     den = p0.denominator * p1.denominator * r0 * q0
+    steps, last = _steps(q), deque(maxlen=len(q) - 1)
     out: list[float] = []
     for u in range(u_max + 1):
-        out.append((big[u] * c0 + big[u + 1] * c1) / den)
+        if u + 1 < len(big):
+            f = big[u] * c0 + big[u + 1] * c1
+        else:
+            f = 0
+            for k, c in steps:
+                f -= c * last[-k]
+        last.append(f)
+        out.append(f / den)
         den *= q0
     return out
 

@@ -7,7 +7,9 @@ import numpy as np
 from hypothesis import strategies as st
 
 from ruinkit import ClaimDistribution
+from ruinkit.distributions import _value
 from ruinkit.recurrence import _integer_table
+from ruinkit.roots import Bracket
 
 
 def _pmf(weights):
@@ -205,6 +207,44 @@ def reference_refine_alpha(dist, bits):
     if lo < near < hi and dist.pgf(near) - near * near == 0:
         return -1 / near
     return -1 / mid
+
+
+def reference_zero(q: list[int], bracket: Bracket, bits: int) -> tuple[Fraction, Fraction, Bracket]:
+    """The halving loop ``roots._zero`` replaced by Newton doubling, kept as
+    its reference.
+
+    (s, width, state) for the one zero of Q in ``bracket``, halved down
+    to width 2**-bits: s exactly with width 0 when that root is hit, else
+    the midpoint of the final bracket, and the state to continue from.
+
+    In (neg, pos, k) the zero lies between neg/2^k and pos/2^k, with Q < 0
+    towards neg and Q > 0 towards pos; k = 0 for the unit intervals.  Each
+    halving signs the midpoint (neg + pos)/2^(k+1) exactly by ``_value``,
+    so a continued bracket is the one a fresh bisection reaches.
+
+    A rational root whose denominator is at most 2**(bits//2 - 1) is hit:
+    two such fractions lie at least 2**(2 - bits) apart, so the nearest one
+    to the midpoint is the only one the bracket can hold.
+    """
+    if isinstance(bracket, Fraction):
+        return bracket, Fraction(0), bracket
+    neg, pos, k = bracket
+    for k in range(k + 1, bits + 1):
+        mid = neg + pos
+        neg, pos = 2 * neg, 2 * pos
+        v = _value(q, mid, 1 << k)
+        if not v:
+            root = Fraction(mid, 1 << k)
+            return root, Fraction(0), root
+        if v > 0:
+            pos = mid
+        else:
+            neg = mid
+    mid, width = Fraction(neg + pos, 1 << (k + 1)), Fraction(1, 1 << k)
+    near = mid.limit_denominator(2 ** max(0, k // 2 - 1))
+    if abs(near - mid) < width / 2 and _value(q, near.numerator, near.denominator) == 0:
+        return near, Fraction(0), near
+    return mid, width, (neg, pos, k)
 
 
 def reference_phi_half(dist, p0, p1, u_max):

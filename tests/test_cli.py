@@ -166,6 +166,13 @@ def test_simulate_seed_out_of_range_exits_one(capsys):
         assert captured.err.startswith("error: seed") and captured.err.count("\n") == 1
 
 
+def test_simulate_surplus_past_int64_exits_zero(capsys):
+    code, out = run(capsys, ["simulate", "--dist", "geometric(1/2)", "--u", str(10**20),
+                             "--horizon", "20", "--trials", "100"])
+    assert code == 0
+    assert json.loads(out)["results"]["estimate"] == "1"
+
+
 def test_exact_commands_do_not_load_numpy():
     # numpy serves only the oracles; a fresh interpreter solving a law
     # never imports it

@@ -140,6 +140,16 @@ def test_mc_bernoulli_deterministic():
     assert res.half_width_95 == 0.0
 
 
+def test_mc_surplus_past_int64_is_clamped():
+    # a start above (len(cdf) - 2)·horizon survives every path, so it runs
+    # as one more than that bound, with the same survivors
+    dist = ClaimDistribution.geometric(F(1, 2))
+    cfg = MCConfig(trials=400, horizon=50, seed=1)
+    clamped = (len(_claim_cdf(dist)) - 2) * cfg.horizon + 1
+    assert mc_estimate(dist, 10**20, cfg) == mc_estimate(dist, clamped, cfg)
+    assert mc_estimate(dist, 10**20, cfg).estimate == 1.0
+
+
 def test_mc_two_step_within_half_width():
     res = mc_estimate(
         ClaimDistribution.geometric(F(1, 2)), 0, MCConfig(trials=1_000_000, horizon=2, seed=42)

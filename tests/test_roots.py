@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ruinkit import (
     ClaimDistribution,
@@ -25,6 +26,7 @@ from common import (
     laws,
     primitive_fixtures,
     reference_refine_alpha,
+    reference_zero,
 )
 
 F = Fraction
@@ -235,6 +237,59 @@ def test_profile_continues_to_fresh_bisection(dist):
             assert beta is None
 
 
+@settings(max_examples=25, deadline=None)
+@given(dist=laws.filter(lambda d: d.is_primitive()), bits=st.integers(1, 3000))
+# alpha = 3: s = -1/3 is a limit_denominator hit; beta = 2: s = 1/2 is dyadic
+@example(dist=ClaimDistribution.tabulated([F(1, 7), 0, 0, F(6, 7)]), bits=128)
+@example(dist=ClaimDistribution.bernoulli(F(4, 5)), bits=3000)  # s = -1/5 is not dyadic
+def test_zero_matches_the_halving_loop(dist, bits):
+    # Newton doubling certifies the cell halving reaches, from a fresh
+    # start and from the profile's brackets alike
+    q = dist.rational_pgf[2]
+    profile = root_profile(dist)
+    brackets = [(-1, 0, 0), profile.alpha_bracket]
+    if dist.mean() > 2:
+        brackets += [(1, 0, 0), profile.beta_bracket]
+    for bracket in brackets:
+        assert roots._zero(q, bracket, bits) == reference_zero(q, bracket, bits)
+
+
+def _count_fallbacks(monkeypatch) -> list[int]:
+    """Levels from which ``_zero`` halves past the start of Newton doubling."""
+    halve, fallbacks = roots._halve, []
+
+    def counted(q, neg, pos, k, level):
+        if k >= roots._NEWTON_FROM:
+            fallbacks.append(k)
+        return halve(q, neg, pos, k, level)
+
+    monkeypatch.setattr(roots, "_halve", counted)
+    return fallbacks
+
+
+def test_zero_steps_to_a_neighbouring_cell(monkeypatch):
+    # for beta of geometric(2/7) the Newton candidate misses the zero's
+    # cell by one or two at most levels; the end signs say which way the
+    # zero lies, so a neighbour is certified and nothing is halved
+    q = ClaimDistribution.geometric(F(2, 7)).rational_pgf[2]
+    fallbacks = _count_fallbacks(monkeypatch)
+    assert roots._zero(q, (1, 0, 0), 2100) == reference_zero(q, (1, 0, 0), 2100)
+    assert fallbacks == []
+
+
+def test_zero_falls_back_to_halving(monkeypatch):
+    # a Q' three times too large puts each Newton candidate thousands of
+    # cells short of the zero: no cell is certified, and every doubling
+    # halves the bracket instead
+    q = ClaimDistribution.geometric(F(1, 2)).rational_pgf[2]
+    value, fallbacks = roots._value, _count_fallbacks(monkeypatch)
+    monkeypatch.setattr(
+        roots, "_value", lambda poly, n, d: value(poly, n, d) * (3 if len(poly) < len(q) else 1)
+    )
+    assert roots._zero(q, (-1, 0, 0), 300) == reference_zero(q, (-1, 0, 0), 300)
+    assert fallbacks == [16, 32, 64, 128, 256]
+
+
 def test_profile_keeps_hit_roots():
     # alpha = 3: s = -1/3 is no midpoint, limit_denominator finds it at 64
     # bits; beta = 2: s = 1/2 is the first midpoint of [0, 1]
@@ -244,28 +299,44 @@ def test_profile_keeps_hit_roots():
     assert profile.bracket_width_achieved == 0
 
 
-def _count_halvings(monkeypatch) -> Counter:
-    """Midpoints the bisection signs, by the zero they close in on: a
-    halving evaluates Q at m/2^k (k >= 1), m < 0 for alpha, m > 0 for beta."""
-    halvings, value = Counter(), roots._value
+def _count_dyadic_evaluations(monkeypatch) -> list[tuple[str, int]]:
+    """(zero, k) for each evaluation of Q or Q' at a dyadic point m/2^k
+    (k >= 1), by the zero the search closes in on: m < 0 for alpha, m > 0
+    for beta."""
+    seen, value = [], roots._value
 
     def counted(q, n, d):
         if d > 1 and not d & (d - 1):
-            halvings["beta" if n > 0 else "alpha"] += 1
+            seen.append(("beta" if n > 0 else "alpha", d.bit_length() - 1))
         return value(q, n, d)
 
     monkeypatch.setattr(roots, "_value", counted)
-    return halvings
+    return seen
 
 
-def test_solve_halves_alpha_bits_times(monkeypatch):
-    halvings = _count_halvings(monkeypatch)
-    sol = solve(ClaimDistribution.geometric(F(1, 2)), u_max=400)
-    assert halvings == {"alpha": sol.diagnostics["alpha_bits"]}
+def test_solve_continues_alpha_past_the_profile(monkeypatch):
+    # the profile halves to level 16 and doubles by Newton steps to 64;
+    # solve then only doubles on from 64 to alpha_bits = 341, with no
+    # evaluation at a level <= 64: Q and Q' at the midpoint of the
+    # bracket, Q at the two ends of the certified cell
+    dist = ClaimDistribution.geometric(F(1, 2))
+    seen = _count_dyadic_evaluations(monkeypatch)
+    root_profile(dist)
+    profile = list(seen)
+    assert [k for _, k in profile] == [*range(1, 17), 17, 17, 32, 32, 33, 33, 64, 64]
+    seen.clear()
+    sol = solve(dist, u_max=400)
+    assert sol.diagnostics["alpha_bits"] == 341
+    assert seen[: len(profile)] == profile
+    continued = (65, 65, 128, 128, 129, 129, 256, 256, 257, 257, 341, 341)
+    assert seen[len(profile):] == [("alpha", k) for k in continued]
 
 
-def test_coefficients_halve_each_zero_128_times(monkeypatch):
-    halvings = _count_halvings(monkeypatch)
+def test_coefficients_continue_each_zero_past_64_bits(monkeypatch):
+    # from the profile's 64-bit brackets, one Newton step per zero reaches
+    # the 128 bits of the residues
     dist = ClaimDistribution.geometric(F(1, 4))  # E Z = 3, both roots irrational
-    compute_coefficients(dist, root_profile(dist))
-    assert halvings == {"alpha": 128, "beta": 128}
+    profile = root_profile(dist)
+    seen = _count_dyadic_evaluations(monkeypatch)
+    compute_coefficients(dist, profile)
+    assert Counter(seen) == {(zero, k): 2 for zero in ("alpha", "beta") for k in (65, 128)}

@@ -35,6 +35,11 @@ from common import (
 
 F = Fraction
 
+#: deg Q = 8 with three zero coefficients, alpha = 1.6358...
+NINE_POINT = ClaimDistribution.tabulated(
+    [F(1, 2), F(5, 22), F(1, 11), F(1, 11), 0, 0, 0, F(1, 22), F(1, 22)]
+)
+
 GOLDEN_PHI0 = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_PHI1 = 2.0 / (1.0 + (1.0 + math.sqrt(5.0)) / 2.0)
 
@@ -250,6 +255,17 @@ _initial_values = st.one_of(
 # alpha = 11 for this law, so a pair off the closed form outgrows a double
 @example(dist=ClaimDistribution.tabulated([F(1, 12), F(5, 6), F(1, 12)]),
          phi0=0.5, phi1=F(1, 3), u_max=400)
+# below, at and past the start of the F recurrence (u = max(len P, len Q) = 9)
+@example(dist=NINE_POINT, phi0=F(2, 3), phi1=0.75, u_max=0)
+@example(dist=NINE_POINT, phi0=F(2, 3), phi1=0.75, u_max=1)
+@example(dist=NINE_POINT, phi0=F(2, 3), phi1=0.75, u_max=2)
+@example(dist=NINE_POINT, phi0=F(2, 3), phi1=0.75, u_max=3)
+@example(dist=NINE_POINT, phi0=F(2, 3), phi1=0.75, u_max=10)
+@example(dist=ClaimDistribution.even_lattice([F(1, 2), F(1, 4), F(1, 4)]),
+         phi0=F(3, 4), phi1=1.5, u_max=200)
+@example(dist=ClaimDistribution.geometric(F(1, 4)), phi0=F(1, 3), phi1=0.5, u_max=200)  # E Z = 3
+@example(dist=ClaimDistribution.tabulated([F(1, 4), F(1, 8), 0, F(5, 8)]),  # E Z = 2
+         phi0=F(1, 5), phi1=F(-1, 7), u_max=120)
 def test_phi_table_is_the_float_of_the_reduced_fraction(dist, phi0, phi1, u_max):
     # one int/int quotient per entry rounds as float(Fraction) does, on
     # primitive, even-lattice and E Z >= 2 laws, overflow included
@@ -260,6 +276,14 @@ def test_phi_table_is_the_float_of_the_reduced_fraction(dist, phi0, phi1, u_max)
             phi_table(dist, phi0, phi1, u_max)
     else:
         assert phi_table(dist, phi0, phi1, u_max) == want
+
+
+def test_solve_table_is_the_float_of_the_reduced_fraction():
+    # the F recurrence at solve's own precision, 1500 entries deep
+    sol = solve(NINE_POINT, u_max=1500)
+    alpha = refine_alpha(NINE_POINT, sol.diagnostics["alpha_bits"])
+    p0, p1 = initial_values_closed_form(NINE_POINT, alpha)
+    assert sol.phi_table == [float(v) for v in reference_phi_table(NINE_POINT, p0, p1, 1500)]
 
 
 def test_pi_values_geometric_half():
