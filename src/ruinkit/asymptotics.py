@@ -160,15 +160,18 @@ def xn_residuals(table: SequenceTable, coeffs: AsymptoticCoefficients) -> list[f
     Where x_n or alpha^n, beta^n would come within a few bits of the double
     range, all three terms of the ratio are scaled by the same power of two.
     """
+    return list(_residuals(table, coeffs, 0))
+
+
+def _residuals(table: SequenceTable, coeffs: AsymptoticCoefficients, start: int):
+    """The relative residuals of xn_residuals from index ``start`` on, lazily."""
     growth = math.log2(max(coeffs.alpha, coeffs.beta or 0.0, 1.0))
-    out = []
-    for n in range(table.n_max + 1):
+    for n in range(start, table.n_max + 1):
         top = max(table.x_exponent(n), math.ceil(n * growth))
         shift = max(0, top - _MAX_EXPONENT)
         xn = table.xf(n, shift)
         pred = predict_xn(coeffs, n, shift)
-        out.append(abs(xn - pred) / max(math.ldexp(1.0, -shift), abs(xn)))
-    return out
+        yield abs(xn - pred) / max(math.ldexp(1.0, -shift), abs(xn))
 
 
 def residuals_converged(
@@ -177,10 +180,9 @@ def residuals_converged(
     eps: float = DEFAULT_RESIDUAL_EPS,
 ) -> bool:
     """True when every relative residual over the last quarter of the table
-    is below eps (the remainder f_n has died out to within float noise)."""
-    res = xn_residuals(table, coeffs)
-    tail = res[3 * len(res) // 4:]
-    return all(v < eps for v in tail)
+    is below eps (the remainder f_n has died out to within float noise).
+    Only that quarter is evaluated."""
+    return all(v < eps for v in _residuals(table, coeffs, 3 * (table.n_max + 1) // 4))
 
 
 @dataclass(frozen=True)

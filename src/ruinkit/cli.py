@@ -2,7 +2,9 @@
 
 Reports are deterministic: keys are sorted, floats are serialized with 17
 significant digits, rationals as "num/den" strings, so identical invocations
-(including seeds) produce byte-identical output.
+(including seeds) produce byte-identical output.  One emitter,
+``render_report``, writes them in a single walk: as the bytes of
+``json.dumps(..., sort_keys=True, indent=2)`` or as csv rows.
 
 Exit codes: 0 success; 1 usage or distribution-spec errors; 2 when a check
 fails (determinant pattern violated, or cross-route disagreement beyond
@@ -87,44 +89,103 @@ def parse_dist(text: str) -> ClaimDistribution:
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
-def jsonable(value):
-    """Recursively convert to JSON-safe values with deterministic numbers."""
+def _node(value):
+    """A report value as the writers see it: a dict with str keys (from a
+    dict or a dataclass), a list or tuple, or a leaf as a str, int, bool or
+    None, with floats and rationals formatted as strings."""
     # float first: Fraction's isinstance check goes through ABCMeta
     if isinstance(value, float):
         return float_str(value)
     if isinstance(value, Fraction):
         return fraction_str(value)
-    if isinstance(value, bool) or isinstance(value, int) or value is None:
-        return value
-    if isinstance(value, str):
+    if isinstance(value, (bool, int, str)) or value is None:
         return value
     if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
+        return {str(k): v for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
+        return value
     if hasattr(value, "__dataclass_fields__"):
-        return {k: jsonable(getattr(value, k)) for k in value.__dataclass_fields__}
+        return {k: getattr(value, k) for k in value.__dataclass_fields__}
     return str(value)
 
 
+def _json(value, pad: str) -> str:
+    """``value`` as json.dumps(..., sort_keys=True, indent=2) writes its
+    node, at the nesting level whose line break and indent are ``pad``."""
+    node = _node(value)
+    if isinstance(node, str):
+        return json.encoder.encode_basestring_ascii(node)
+    if node is None:
+        return "null"
+    if node is True:
+        return "true"
+    if node is False:
+        return "false"
+    if isinstance(node, int):
+        return int.__repr__(node)
+    if not node:
+        return "{}" if isinstance(node, dict) else "[]"
+    inner = pad + "  "
+    if isinstance(node, dict):
+        items = (
+            json.encoder.encode_basestring_ascii(k) + ": " + _json(node[k], inner)
+            for k in sorted(node)
+        )
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    texts = [
+        _json(v, inner) if text is None else text
+        for v, text in zip(node, _float_texts(node, '"'))
+    ]
+    return "[" + inner + ("," + inner).join(texts) + pad + "]"
+
+
+def _float_texts(items, quote: str) -> list:
+    """float_str of each float in ``items``, between two ``quote``s, and
+    None for every other item.
+
+    A survival table repeats few distinct floats (most entries are 1.0), so
+    each distinct nonzero value is formatted once; zeros are formatted every
+    time, as 0.0 == -0.0 would share a key."""
+    seen: dict = {}
+    out = []
+    for v in items:
+        if type(v) is not float:
+            out.append(None)
+        elif not v:
+            out.append(quote + float_str(v) + quote)
+        else:
+            text = seen.get(v)
+            if text is None:
+                text = seen[v] = quote + float_str(v) + quote
+            out.append(text)
+    return out
+
+
 def _flatten(prefix: str, value, rows: list):
-    if isinstance(value, dict):
-        for k in sorted(value):
-            _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], rows)
-    elif isinstance(value, list):
-        for i, v in enumerate(value):
-            _flatten(f"{prefix}[{i}]", v, rows)
+    node = _node(value)
+    if isinstance(node, dict):
+        for k in sorted(node):
+            _flatten(f"{prefix}.{k}" if prefix else k, node[k], rows)
+    elif isinstance(node, (list, tuple)):
+        for i, (v, text) in enumerate(zip(node, _float_texts(node, ""))):
+            if text is None:
+                _flatten(f"{prefix}[{i}]", v, rows)
+            else:
+                rows.append((f"{prefix}[{i}]", text))
     else:
-        rows.append((prefix, "" if value is None else str(value)))
+        rows.append((prefix, "" if node is None else str(node)))
 
 
 def render_report(report: dict, fmt: str) -> str:
-    payload = jsonable(report)
+    """The report as deterministic text in one walk: csv rows "key,value"
+    with dotted keys, or exactly the bytes of json.dumps(..., sort_keys=True,
+    indent=2) on the report with every float and Fraction formatted as a
+    string, written without the json module's pure-Python indent encoder."""
     if fmt == "csv":
         rows: list = []
-        _flatten("", payload, rows)
+        _flatten("", report, rows)
         return "\n".join(f"{k},{v}" for k, v in rows) + "\n"
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _json(report, "\n") + "\n"
 
 
 def _dist_hash(dist: ClaimDistribution) -> str:

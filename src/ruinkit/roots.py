@@ -20,7 +20,8 @@ and R > 0 on [-1, 1], so that Q has the sign of H - s^2 on the disk:
   the two ends of the cell it names certify that cell, a neighbour is
   tried on a miss, and halving takes over where certification fails.
   Every bracket is the one halving alone reaches.  The nearest fraction
-  of small denominator in the final bracket is tried as an exact root;
+  of small denominator in the final bracket, with the denominator capped
+  at |lead(Q)| by the rational root theorem, is tried as an exact root;
 * r is the multiplicity of s = 1 as a root of Q = (1 - s)^r K.
 
 The float roots are those of 64-bit brackets, rounded once.  The profile
@@ -114,7 +115,11 @@ def _zero(q: list[int], bracket: Bracket, bits: int) -> tuple[Fraction, Fraction
 
     A rational root whose denominator is at most 2**(bits//2 - 1) is hit:
     two such fractions lie at least 2**(2 - bits) apart, so the nearest one
-    to the midpoint is the only one the bracket can hold.
+    to the midpoint is the only one the bracket can hold.  By the rational
+    root theorem the denominator of a root of Q, in lowest terms, divides
+    lead(Q), its last nonzero coefficient, so the search for that nearest
+    fraction stops at denominator min(2**(bits//2 - 1), |lead(Q)|): a few
+    continued-fraction steps however many bits the bracket has.
     """
     if isinstance(bracket, Fraction):
         return bracket, Fraction(0), bracket
@@ -131,7 +136,8 @@ def _zero(q: list[int], bracket: Bracket, bits: int) -> tuple[Fraction, Fraction
             return state, Fraction(0), state
         neg, pos, k = state
     mid, width = Fraction(neg + pos, 1 << (k + 1)), Fraction(1, 1 << k)
-    near = mid.limit_denominator(2 ** max(0, k // 2 - 1))
+    lead = next(c for c in reversed(q) if c)
+    near = mid.limit_denominator(min(2 ** max(0, k // 2 - 1), abs(lead)))
     if abs(near - mid) < width / 2 and _value(q, near.numerator, near.denominator) == 0:
         return near, Fraction(0), near
     return mid, width, (neg, pos, k)

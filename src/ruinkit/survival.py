@@ -33,7 +33,7 @@ point.  All reconstructions therefore run in exact arithmetic with alpha
 carried as a rational bracket refined to ~u_max*log2(alpha) + 64 bits, and
 only the finished values are rounded to floats: each table entry is one
 integer numerator over one integer denominator, divided once, which Python
-rounds correctly, with no gcd and no reduced Fraction.
+rounds correctly, with one gcd per table and no reduced Fraction.
 """
 from __future__ import annotations
 
@@ -149,12 +149,17 @@ def phi_table(dist: ClaimDistribution, phi0, phi1, u_max: int) -> list[float]:
     x_u = N_u / q_0^(u+1) and y_u = N_{u+1} / (r_0 q_0^(u+1)) are read off
     the integer numerators of the recurrence (see recurrence).  With the
     initial values as exact rationals phi(0) = A/B and phi(1) = C/E (floats
-    convert exactly), each entry is the one int/int quotient
+    convert exactly) and g = gcd(B, E), so that L = lcm(B, E) = (B/g) E,
+    each entry is the one int/int quotient
 
-        phi(u) = F_u / (B E r_0 q_0^(u+1)),   F_u = N_u A E r_0 + N_{u+1} C B,
+        phi(u) = F_u / (L r_0 q_0^(u+1)),
+        F_u = N_u A (E/g) r_0 + N_{u+1} C (B/g),
 
     which Python rounds correctly, so it is the float of the exact rational
-    with no gcd taken; a value past the double range raises OverflowError.
+    with no gcd taken per entry; a value past the double range raises
+    OverflowError.  The closed-form B and E share almost all their bits, so
+    dividing over L rather than B E keeps every F_u about one alpha bracket
+    shorter.
     From u = max(len P, len Q) on, N_u and N_{u+1} both follow N's
     homogeneous recurrence, and so does their combination:
 
@@ -172,9 +177,10 @@ def phi_table(dist: ClaimDistribution, phi0, phi1, u_max: int) -> list[float]:
     table = _integer_table(dist, min(u_max, max(len(p), len(q)) - 1))
     big, q0, r0 = table.numerators, table.q0, table.r0
     p0, p1 = Fraction(phi0), Fraction(phi1)
-    c0 = p0.numerator * p1.denominator * r0
-    c1 = p1.numerator * p0.denominator
-    den = p0.denominator * p1.denominator * r0 * q0
+    g = math.gcd(p0.denominator, p1.denominator)
+    c0 = p0.numerator * (p1.denominator // g) * r0
+    c1 = p1.numerator * (p0.denominator // g)
+    den = p0.denominator // g * p1.denominator * r0 * q0
     steps, last = _steps(q), deque(maxlen=len(q) - 1)
     out: list[float] = []
     for u in range(u_max + 1):

@@ -1,5 +1,6 @@
 """Shared fixture distributions and brute-force oracles for the test suite."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from ruinkit import ClaimDistribution
+from ruinkit._scalars import float_str, fraction_str
 from ruinkit.distributions import _value
 from ruinkit.recurrence import _integer_table
 from ruinkit.roots import Bracket
@@ -373,3 +375,46 @@ def naive_chain(d, strict):
         )
     ]
     return (min(bad) if bad else None), margins, failures
+
+
+def _reference_jsonable(value):
+    """Recursively convert to JSON-safe values with deterministic numbers."""
+    if isinstance(value, float):
+        return float_str(value)
+    if isinstance(value, Fraction):
+        return fraction_str(value)
+    if isinstance(value, bool) or isinstance(value, int) or value is None:
+        return value
+    if isinstance(value, str):
+        return value
+    if isinstance(value, dict):
+        return {str(k): _reference_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reference_jsonable(v) for v in value]
+    if hasattr(value, "__dataclass_fields__"):
+        return {k: _reference_jsonable(getattr(value, k)) for k in value.__dataclass_fields__}
+    return str(value)
+
+
+def _reference_flatten(prefix, value, rows):
+    if isinstance(value, dict):
+        for k in sorted(value):
+            _reference_flatten(f"{prefix}.{k}" if prefix else str(k), value[k], rows)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _reference_flatten(f"{prefix}[{i}]", v, rows)
+    else:
+        rows.append((prefix, "" if value is None else str(value)))
+
+
+def reference_render(report, fmt="json"):
+    """The two-pass report renderer ``cli.render_report`` replaced, kept as
+    its reference: convert the whole report to JSON-safe values (floats
+    and Fractions as strings), then json.dumps it sorted with indent 2, or
+    flatten it to "key,value" csv rows."""
+    payload = _reference_jsonable(report)
+    if fmt == "csv":
+        rows = []
+        _reference_flatten("", payload, rows)
+        return "\n".join(f"{k},{v}" for k, v in rows) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

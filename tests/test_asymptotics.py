@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ruinkit import (
     ClaimDistribution,
@@ -183,9 +184,30 @@ def test_residuals_read_x_at_their_shift_exactly():
 
     table.xf = spy
     assert residuals_converged(table, _coeffs(dist))
-    assert len(calls) == 301 and max(shift for _, shift in calls) > 0
+    # only the last quarter of the 301 residuals is read, and evaluated
+    assert [n for n, _ in calls] == list(range(225, 301))
+    assert max(shift for _, shift in calls) > 0
     for n, shift in calls:
         assert xf(n, shift) == float(table.x[n] / 2**shift)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dist=laws.filter(lambda d: d.is_primitive()),
+    n_max=st.integers(2, 160),
+    eps=st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1.0]),
+)
+# alpha = 11: the tail shifts past the double range
+@example(dist=ClaimDistribution.tabulated([F(1, 12), F(5, 6), F(1, 12)]), n_max=300, eps=1e-9)
+# the remainder dies after n = 0, so only a head reading the n = 0 mismatch fails
+@example(dist=ClaimDistribution.tabulated([F(1, 3)] * 3), n_max=2, eps=1e-12)
+@example(dist=ClaimDistribution.tabulated([F(1, 3)] * 3), n_max=3, eps=0.0)
+def test_residuals_converged_reads_the_last_quarter(dist, n_max, eps):
+    table = build_table(dist, n_max)
+    coeffs = _coeffs(dist)
+    res = xn_residuals(table, coeffs)
+    want = all(v < eps for v in res[3 * len(res) // 4:])
+    assert residuals_converged(table, coeffs, eps) == want
 
 
 def test_margin_factor_identity_spot():

@@ -4,9 +4,12 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 from ruinkit import ClaimDistribution, build_table, cli
 from ruinkit.distributions import DistributionError
 
-from common import all_fixtures, laws, reference_ratio
+from common import all_fixtures, laws, reference_ratio, reference_render
 
 
 def run(capsys, argv):
@@ -201,6 +204,49 @@ def test_byte_identical_reports(capsys):
     _, first = run(capsys, argv)
     _, second = run(capsys, argv)
     assert first == second
+
+
+@dataclass
+class _Pair:
+    left: object
+    right: object
+
+
+# repeated floats, so that a list's formatted-float cache is hit, with 0.0
+# and -0.0 (equal, but written apart) and non-finite values among them
+_report_leaves = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, math.nan, math.inf, -math.inf]),
+    st.floats(),
+    st.fractions(),
+    st.integers(-(2**300), 2**300),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=8),
+)
+_report_trees = st.recursive(
+    _report_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=8),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=4), st.integers(-9, 9)), children, max_size=4),
+        st.builds(_Pair, children, children),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(report=st.dictionaries(st.text(max_size=4), _report_trees, max_size=4))
+@example(report={"t": [0.0, -0.0, 1.0, -0.0, 1.0, 0.0]})
+# equal values of other types must not share a float's cached text
+@example(report={"t": [0.5, Fraction(1, 2), 1.0, True, 1, Fraction(1), 2.0, 2]})
+@example(report={"x": [math.nan, math.nan, math.inf, -math.inf], "é": "ü\n\"", "n": 10**80})
+@example(report={"e": [], "d": {}, "t": (), "p": _Pair([], {}), "z": [[], [[]]], "1": {1: None}})
+def test_render_report_is_the_two_pass_renderer(report):
+    # one walk writes the bytes of jsonable + json.dumps(indent=2), and the
+    # csv rows of the flattened jsonable report
+    for fmt in ("json", "csv"):
+        assert cli.render_report(report, fmt) == reference_render(report, fmt)
 
 
 def test_csv_format(capsys):

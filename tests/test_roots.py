@@ -242,6 +242,9 @@ def test_profile_continues_to_fresh_bisection(dist):
 # alpha = 3: s = -1/3 is a limit_denominator hit; beta = 2: s = 1/2 is dyadic
 @example(dist=ClaimDistribution.tabulated([F(1, 7), 0, 0, F(6, 7)]), bits=128)
 @example(dist=ClaimDistribution.bernoulli(F(4, 5)), bits=3000)  # s = -1/5 is not dyadic
+# Q = (4, 0, -7, 3): the root s = -2/3 has the denominator lead(Q) = 3
+@example(dist=ClaimDistribution.tabulated([F(4, 7), 0, 0, F(3, 7)]), bits=8)
+@example(dist=ClaimDistribution.tabulated([F(4, 7), 0, 0, F(3, 7)]), bits=1000)
 def test_zero_matches_the_halving_loop(dist, bits):
     # Newton doubling certifies the cell halving reaches, from a fresh
     # start and from the profile's brackets alike

@@ -266,6 +266,15 @@ _initial_values = st.one_of(
 @example(dist=ClaimDistribution.geometric(F(1, 4)), phi0=F(1, 3), phi1=0.5, u_max=200)  # E Z = 3
 @example(dist=ClaimDistribution.tabulated([F(1, 4), F(1, 8), 0, F(5, 8)]),  # E Z = 2
          phi0=F(1, 5), phi1=F(-1, 7), u_max=120)
+# the table divides over lcm(B, E): coprime denominators, floats (powers of
+# two), shared factors with E Z > 2, and shared factors past the double range
+@example(dist=ClaimDistribution.geometric(F(1, 2)), phi0=F(2, 3), phi1=F(3, 4), u_max=60)
+@example(dist=ClaimDistribution.tabulated([F(2, 5), F(1, 5), F(1, 5), F(1, 5)]),
+         phi0=0.3, phi1=-1.7, u_max=120)
+@example(dist=ClaimDistribution.tabulated([F(1, 4), 0, 0, F(3, 4)]),  # E Z = 9/4
+         phi0=F(2, 9), phi1=F(4, 15), u_max=120)
+@example(dist=ClaimDistribution.tabulated([F(1, 12), F(5, 6), F(1, 12)]),
+         phi0=F(1, 6), phi1=F(5, 12), u_max=400)
 def test_phi_table_is_the_float_of_the_reduced_fraction(dist, phi0, phi1, u_max):
     # one int/int quotient per entry rounds as float(Fraction) does, on
     # primitive, even-lattice and E Z >= 2 laws, overflow included
