@@ -309,30 +309,13 @@ def _cmd_solve(args) -> int:
 def _cmd_dp(args) -> int:
     cfg = oracle.DPConfig(horizon=args.horizon, surplus_cap=args.cap)
     res = oracle.finite_horizon_dp(args.dist_obj, args.u, cfg)
-    results = {
-        "value": res.value,
-        "horizon": res.horizon,
-        "u": args.u,
-        "surplus_cap": res.surplus_cap,
-        "cap_absorbed": res.cap_absorbed,
-        "truncation_tail": res.truncation_tail,
-        "truncation_index": res.truncation_index,
-    }
-    return _emit(args, "dp", results, {}, ["float"], EXIT_OK)
+    return _emit(args, "dp", {**vars(res), "u": args.u}, {}, ["float"], EXIT_OK)
 
 
 def _cmd_simulate(args) -> int:
     cfg = oracle.MCConfig(trials=args.trials, horizon=args.horizon, seed=args.seed)
     res = oracle.mc_estimate(args.dist_obj, args.u, cfg)
-    results = {
-        "estimate": res.estimate,
-        "half_width_95": res.half_width_95,
-        "trials": res.trials,
-        "horizon": res.horizon,
-        "u": args.u,
-        "seed": res.seed,
-    }
-    return _emit(args, "simulate", results, {}, ["float"], EXIT_OK)
+    return _emit(args, "simulate", {**vars(res), "u": args.u}, {}, ["float"], EXIT_OK)
 
 
 # ---------------------------------------------------------------------------

@@ -164,10 +164,10 @@ def _droppable(v: np.ndarray, reach: int) -> int:
         span *= 2
 
 
-def _claim_cdf(dist: ClaimDistribution) -> np.ndarray:
+def _claim_cdf(dist: ClaimDistribution, k_top: int) -> np.ndarray:
+    """P(Z <= k) for k = 0..k_top as floats."""
     import numpy as np
 
-    k_top = dist.truncation_index()
     return np.cumsum(
         np.array([float(v) for v in dist.pmf_prefix(k_top)], dtype=np.float64)
     )
@@ -255,7 +255,9 @@ def mc_estimate(
         raise ValueError("seed must lie in [0, 2**64)")
     if trial_chunk is not None and (trial_chunk < 4 or trial_chunk % 4):
         raise ValueError("trial_chunk must be a positive multiple of 4")
-    cdf = _claim_cdf(dist)
+    # a claim of u + 2N or more ruins every trial at every step, so a cdf
+    # cut at the DP's bound u + 2N + 1 gives the same survivors
+    cdf = _claim_cdf(dist, min(dist.truncation_index(), u + 2 * cfg.horizon + 1))
     guide = _guide_table(cdf)
     chunk = cfg.trials if trial_chunk is None else trial_chunk
     survivors = 0

@@ -38,12 +38,12 @@ rounds correctly, with one gcd per table and no reduced Fraction.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .distributions import ClaimDistribution
-from .recurrence import SequenceTable, _integer_table, _steps, build_table
+from .recurrence import SequenceTable, _numerators, build_table
 from .roots import refine_alpha, root_profile
 
 SURVIVABLE = "survivable"
@@ -159,40 +159,23 @@ def phi_table(dist: ClaimDistribution, phi0, phi1, u_max: int) -> list[float]:
     with no gcd taken per entry; a value past the double range raises
     OverflowError.  The closed-form B and E share almost all their bits, so
     dividing over L rather than B E keeps every F_u about one alpha bracket
-    shorter.
-    From u = max(len P, len Q) on, N_u and N_{u+1} both follow N's
-    homogeneous recurrence, and so does their combination:
-
-        F_u = -sum_k q_k q_0^(k-1) F_{u-k}.
-
-    So the numerators are formed only up to there, and every later F_u
-    costs deg Q small-by-big products, with the last deg Q values of F the
-    only numerators alive.  The growing x_u, y_u cancel without noise at
-    the precision the initial values carry; for large u_max pass
-    high-precision rationals, as solve() does.
+    shorter.  ``recurrence._numerators`` yields F_u itself, keeping only its
+    last deg Q values.  The growing x_u, y_u cancel without noise at the
+    precision the initial values carry; for large u_max pass high-precision
+    rationals, as solve() does.
     """
     if u_max < 0:
         raise ValueError("u_max must be non-negative")
-    p, _r, q = dist.rational_pgf
-    table = _integer_table(dist, min(u_max, max(len(p), len(q)) - 1))
-    big, q0, r0 = table.numerators, table.q0, table.r0
+    _p, r, q = dist.rational_pgf
     p0, p1 = Fraction(phi0), Fraction(phi1)
     g = math.gcd(p0.denominator, p1.denominator)
-    c0 = p0.numerator * (p1.denominator // g) * r0
+    c0 = p0.numerator * (p1.denominator // g) * r[0]
     c1 = p1.numerator * (p0.denominator // g)
-    den = p0.denominator // g * p1.denominator * r0 * q0
-    steps, last = _steps(q), deque(maxlen=len(q) - 1)
+    den = p0.denominator // g * p1.denominator * r[0] * q[0]
     out: list[float] = []
-    for u in range(u_max + 1):
-        if u + 1 < len(big):
-            f = big[u] * c0 + big[u + 1] * c1
-        else:
-            f = 0
-            for k, c in steps:
-                f -= c * last[-k]
-        last.append(f)
+    for f in islice(_numerators(dist, c0, c1), u_max + 1):
         out.append(f / den)
-        den *= q0
+        den *= q[0]
     return out
 
 

@@ -145,7 +145,8 @@ def test_mc_surplus_past_int64_is_clamped():
     # as one more than that bound, with the same survivors
     dist = ClaimDistribution.geometric(F(1, 2))
     cfg = MCConfig(trials=400, horizon=50, seed=1)
-    clamped = (len(_claim_cdf(dist)) - 2) * cfg.horizon + 1
+    top = min(dist.truncation_index(), 10**20 + 2 * cfg.horizon + 1)
+    clamped = (len(_claim_cdf(dist, top)) - 2) * cfg.horizon + 1
     assert mc_estimate(dist, 10**20, cfg) == mc_estimate(dist, clamped, cfg)
     assert mc_estimate(dist, 10**20, cfg).estimate == 1.0
 
@@ -224,7 +225,7 @@ def test_philox_raw_word_is_generator_double():
 @example(dist=ClaimDistribution.geometric(F(2, 5)), u=2, seed=7, trials=1999, horizon=60, chunk=64)
 def test_simulate_block_matches_reference(dist, u, seed, trials, horizon, chunk):
     cfg = MCConfig(trials=trials, horizon=horizon, seed=seed)
-    cdf = _claim_cdf(dist)
+    cdf = _claim_cdf(dist, min(dist.truncation_index(), u + 2 * horizon + 1))
     guide = _guide_table(cdf)
     step = trials if chunk is None else chunk
     survivors = sum(
@@ -232,3 +233,22 @@ def test_simulate_block_matches_reference(dist, u, seed, trials, horizon, chunk)
         for start in range(0, trials, step)
     )
     assert survivors == reference_survivors(u, cfg, 0, trials, cdf)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    u=st.integers(0, 40),
+    horizon=st.integers(1, 60),
+    seed=st.integers(0, 2**64 - 1),
+    trials=st.integers(1, 600),
+)
+@example(u=0, horizon=60, seed=0, trials=600)
+def test_mc_cut_cdf_keeps_the_survivors(u, horizon, seed, trials):
+    # geometric(1/50) has truncation index about 1800, past the cut
+    # u + 2N + 1 of every draw here, and often draws claims beyond it
+    dist = ClaimDistribution.geometric(F(1, 50))
+    full = _claim_cdf(dist, dist.truncation_index())
+    assert len(full) > u + 2 * horizon + 2
+    cfg = MCConfig(trials=trials, horizon=horizon, seed=seed)
+    survivors = reference_survivors(u, cfg, 0, trials, full)
+    assert mc_estimate(dist, u, cfg).estimate == survivors / trials

@@ -1,6 +1,7 @@
 """Recurrence tables, determinant identities, and the exact pattern check."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -134,6 +135,23 @@ def test_exact_table_matches_reference_recurrence(dist, n_max):
     assert t.x == x
     assert t.y == y
     assert t.d == d
+
+
+# geometric has len P = 1 < deg Q; pmf:1/7,0,0,6/7 has a zero inner q_k;
+# the even-lattice law has every odd q_k zero
+@settings(max_examples=60, deadline=None)
+@given(dist=laws, c0=st.integers(), c1=st.integers(), extra=st.integers(0, 30))
+@example(dist=ClaimDistribution.geometric(F(2, 7)), c0=3, c1=-5, extra=0)
+@example(dist=ClaimDistribution.tabulated([F(1, 7), 0, 0, F(6, 7)]), c0=0, c1=7, extra=0)
+@example(dist=ClaimDistribution.even_lattice([F(1, 2), F(1, 4), F(1, 4)]), c0=-2, c1=9, extra=0)
+def test_numerators_are_the_combination_of_reference_x(dist, c0, c1, extra):
+    p, _r, q = dist.rational_pgf
+    n = max(len(p), len(q) - 1) + 3 * (len(q) - 1) + extra
+    x = reference_table(dist, n + 1)[0]
+    big = [v * q[0] ** (k + 1) for k, v in enumerate(x)]  # N_k = q_0^(k+1) x_k
+    assert all(v.denominator == 1 for v in big)
+    want = [c0 * big[k] + c1 * big[k + 1] for k in range(n + 1)]
+    assert list(islice(recurrence._numerators(dist, c0, c1), n + 1)) == want
 
 
 @settings(max_examples=60, deadline=None)
