@@ -172,15 +172,19 @@ class ClaimDistribution:
         """Smallest K with P(Z > K) < TAIL_EPSILON; identity on finite support."""
         if self.support_bound is not None:
             return self.support_bound
-        # the tail is c theta^k from k = deg U on (see tail_mass): step up
-        # exactly from one short of the log estimate of its crossing
-        p, r, _q = self.rational_pgf
-        top, log_theta = max(len(p), len(r)) - 2, math.log(Fraction(-r[1], r[0]))
-        log_c = math.log(self.tail_mass(top)) - top * log_theta
-        k = max(0, int((math.log(TAIL_EPSILON) - log_c) / log_theta) - 1)
+        k = self._truncation_estimate()
         while self.tail_mass(k) >= TAIL_EPSILON:
             k += 1
         return k
+
+    def _truncation_estimate(self) -> int:
+        """One short of the float-log estimate of truncation_index on an
+        infinite support, where the search starts stepping exactly: the tail
+        is c theta^k from k = deg U on (see tail_mass)."""
+        p, r, _q = self.rational_pgf
+        top, log_theta = max(len(p), len(r)) - 2, math.log(Fraction(-r[1], r[0]))
+        log_c = math.log(self.tail_mass(top)) - top * log_theta
+        return max(0, int((math.log(TAIL_EPSILON) - log_c) / log_theta) - 1)
 
     # -- generating function ----------------------------------------------
 

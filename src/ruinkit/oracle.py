@@ -4,6 +4,14 @@ phi_N(u) = P(W(n) > 0 for all 1 <= n <= N) decreases to phi(u) as N grows,
 which makes it a cross-check oracle for every analytic route: it depends on
 nothing but the model definition.
 
+Both oracles retire a path as a survivor once no claim sequence can ruin it.
+With D = (largest claim the oracle can draw) - 2, a path at surplus w with
+k steps left survives for certain when w - D·j >= 1 for every j = 1..k,
+that is when w >= max(D·k, D) + 1 (_safe_surplus; cf. Asmussen & Albrecher,
+*Ruin Probabilities*, 2nd ed., 2010).  Retirement is exact: a retired path
+is counted with the probability it already carries, and stepping it further
+could only round that.
+
 The DP runs forward over the surplus lattice (ruin states are absorbing and
 dropped; the surplus moves by 2 - Z each step).  States above
 ``surplus_cap`` are treated as absorbed-safe; with the default cap u + 2N no
@@ -13,10 +21,14 @@ absorbed mass, which is reported.  The live states are held as a window
 At step n almost all of their mass lies within O(sqrt(n)) of
 u + (2 - E Z) n, so every _TRIM_EVERY steps the window drops the run of
 entries at each end whose total mass is at most _DROP_EPSILON = 2**-120,
-looking only near its ends; the loop stops once the window is empty (all
-mass ruined, dropped or absorbed).  The DP is thus exact up to claim-tail
-truncation, float rounding and at most 2 * trims * _DROP_EPSILON of dropped
-mass, with trims <= N / _TRIM_EVERY: under 1e-27 for N up to 10**9.
+looking only near its ends.  Before each step the entries at or above the
+retirement bound, with D = k_top - 2 from the claims it convolves, leave the
+window for a separate ``safe`` sum, unless the window could still climb past
+a user cap, so ``cap_absorbed`` stays the cap policy's overcount.  The loop
+stops once the window is empty (all mass ruined, dropped, absorbed or
+retired).  The DP is thus exact up to claim-tail truncation, float rounding
+and at most 2 * trims * _DROP_EPSILON of dropped mass, with
+trims <= N / _TRIM_EVERY: under 1e-27 for N up to 10**9.
 
 The Monte Carlo is bit-reproducible and partition-independent: claims for
 step j live on the Philox counter plane j << 128 under the run's key (the
@@ -26,10 +38,15 @@ trials can therefore be regenerated in isolation (Philox counters advance in
 reproduces the monolithic run exactly.
 
 Each step keeps only the live trials (their indices and surplus), compacted
-after every step that ruins one, and ends the block once none is left.  Raw
-Philox words map to claims without a Generator: word w is the uniform
-(w >> 11) * 2**-53, the double ``Generator.random`` would draw from it, and
-its top _GUIDE_BITS bits pick a guide-table bucket (Chen & Asau 1974).  A
+after every step that ruins or retires one, and ends the block once none is
+left.  The largest claim is searchsorted(cdf, 1 - 2**-53, "right"), the most
+either lookup below can return; a block whose u meets the retirement bound
+draws nothing.  One Philox generator per block is moved to each step's
+counter plane by setting its state, and trial i still consumes word i of
+that plane, so neither changes which trials survive.  Raw Philox words map
+to claims without a Generator: word w is the uniform (w >> 11) * 2**-53, the
+double ``Generator.random`` would draw from it, and its top _GUIDE_BITS bits
+pick a guide-table bucket (Chen & Asau 1974).  A
 bucket that holds no cdf point gives its claim directly; only the few buckets
 split by a cdf point fall back to the binary search.  Either way the claim is
 ``searchsorted(cdf, uniform, "right")``, so the survivors are exactly those of
@@ -45,7 +62,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .distributions import ClaimDistribution
+from .distributions import TAIL_EPSILON, ClaimDistribution
 
 if TYPE_CHECKING:
     import numpy as np
@@ -98,10 +115,10 @@ def finite_horizon_dp(dist: ClaimDistribution, u: int, cfg: DPConfig) -> DPResul
 
     Survive step n from surplus w iff the claim z satisfies w + 2 - z >= 1;
     mass moving to w' > cap is absorbed as safe, mass at w' <= 0 is ruined
-    and dropped.  Only the window of live states that carries mass is
-    convolved (see the module docstring), so the value is exact up to claim
-    truncation, float rounding and at most 2 * trims * _DROP_EPSILON of
-    dropped mass, with trims <= N / _TRIM_EVERY.
+    and dropped.  Only the window of live states that carries mass and can
+    still be ruined is convolved (see the module docstring), so the value is
+    exact up to claim truncation, float rounding and at most
+    2 * trims * _DROP_EPSILON of dropped mass, with trims <= N / _TRIM_EVERY.
     """
     if u < 0:
         raise ValueError("initial surplus must be non-negative")
@@ -114,15 +131,24 @@ def finite_horizon_dp(dist: ClaimDistribution, u: int, cfg: DPConfig) -> DPResul
     import numpy as np
 
     # claims beyond cap + 1 ruin every in-cap state; dropping them is exact
-    k_top = min(dist.truncation_index(), cap + 1)
+    k_top = _claim_top(dist, cap + 1)
     hr = np.array([float(v) for v in reversed(dist.pmf_prefix(k_top))], dtype=np.float64)
     reach = 2 * _TRIM_EVERY * (k_top + 1)
 
     # v[i] = P(alive, surplus = base + i), from the point mass on u
     v = np.ones(1, dtype=np.float64)
     base = u
-    absorbed = 0.0
+    absorbed = safe = 0.0
     for step in range(1, n_steps + 1):
+        # retire the top of the window once it survives the steps left
+        # whatever the claims, unless it could still climb past the cap
+        left = n_steps - step + 1
+        cut = max(0, _safe_surplus(k_top - 2, left) - base)
+        if cut < len(v) and base + len(v) - 1 + 2 * left <= cap:
+            safe += float(v[cut:].sum())
+            v = v[:cut]
+            if not len(v):
+                break
         conv = np.convolve(v, hr)
         # conv[t] collects all mass landing on surplus base + 2 - k_top + t
         t_lo = k_top - 1 - base  # surplus 1
@@ -137,7 +163,7 @@ def finite_horizon_dp(dist: ClaimDistribution, u: int, cfg: DPConfig) -> DPResul
             base += lo
         if not len(v):
             break
-    value = float(v.sum()) + absorbed
+    value = float(v.sum()) + safe + absorbed
     return DPResult(
         value=value,
         horizon=n_steps,
@@ -146,6 +172,33 @@ def finite_horizon_dp(dist: ClaimDistribution, u: int, cfg: DPConfig) -> DPResul
         truncation_tail=float(dist.tail_mass(k_top)),
         truncation_index=k_top,
     )
+
+
+def _safe_surplus(drop: int, steps: int) -> int:
+    """Lowest surplus w that survives ``steps`` more steps whatever the
+    claims, when none lowers the surplus by more than ``drop``: w - drop·j
+    >= 1 for every j = 1..steps."""
+    return max(drop * steps, drop) + 1
+
+
+def _claim_top(dist: ClaimDistribution, bound: int) -> int:
+    """min(dist.truncation_index(), bound), without stepping to K when the
+    bound binds.
+
+    P(Z > bound) >= TAIL_EPSILON means K > bound, as the tail decreases.  A
+    slowly decaying law has its K far out (about 3.7·10**6 for
+    geometric(1/100000)), where each exact tail costs millions of digits, so
+    the tail at the bound is tried first.  It is tried only up to the float
+    estimate of K, so a bound far past K (a huge u) costs no tail at the
+    bound either.
+    """
+    if (
+        dist.support_bound is None
+        and bound <= dist._truncation_estimate()
+        and dist.tail_mass(bound) >= TAIL_EPSILON
+    ):
+        return bound
+    return min(dist.truncation_index(), bound)
 
 
 def _droppable(v: np.ndarray, reach: int) -> int:
@@ -203,34 +256,57 @@ def _simulate_block(
     """Number of surviving trials among [start, start + count).
 
     ``start`` is 4-aligned, so word ``start`` opens a Philox counter block.
-    Only live trials are stepped: ``trial`` and ``w`` hold the index and the
-    surplus of each, compacted after every step that ruins one.  No claim
-    lowers the surplus by more than len(cdf) - 2, so a trial started above
-    (len(cdf) - 2)·horizon survives whatever it draws, and the surplus is
-    clamped to one more than that to fit in int64 with the same survivors.
+    Only live trials are stepped: ``trial`` and ``s`` hold the index and the
+    surplus of each, compacted after every step that ruins or retires one.
+    ``s`` is the surplus less 2·step, so a step subtracts the claim alone.
+    The largest claim a uniform can map to is searchsorted(cdf, 1 - 2**-53,
+    "right"); a trial whose surplus reaches _safe_surplus of the steps left
+    survives whatever it draws, so it is retired as a survivor, at the start
+    too: a ``u`` that meets the bound draws nothing.
     """
     import numpy as np
 
-    key = np.uint64(cfg.seed)
+    n = cfg.horizon
+    drop = int(np.searchsorted(cdf, 1.0 - 2.0**-53, side="right")) - 2
+    if u >= _safe_surplus(drop, n):
+        return count
+    # one generator, moved to the counter plane of each step: the counter's
+    # words are (start >> 2, 0, step, 0), and its buffer starts empty
+    bitgen = np.random.Philox(key=np.uint64(cfg.seed), counter=start >> 2)
+    state = bitgen.state
+    counter = state["state"]["counter"]
     trial = np.arange(count)
-    w = np.full(count, min(u, max(0, len(cdf) - 2) * cfg.horizon + 1), dtype=np.int64)
-    for step in range(1, cfg.horizon + 1):
-        raw = np.random.Philox(key=key, counter=(step << 128) + (start >> 2)).random_raw(count)
+    s = np.full(count, u, dtype=np.int64)
+    retired = 0
+    for step in range(1, n + 1):
+        counter[2] = step
+        bitgen.state = state
+        raw = bitgen.random_raw(count)
         if len(trial) < count:
-            raw = raw[trial]
-        claims = guide[raw >> (64 - _GUIDE_BITS)]
-        split = claims < 0
-        if split.any():
+            raw = raw.take(trial)
+        # a uint64 index array would take numpy's casting path
+        claims = guide.take((raw >> (64 - _GUIDE_BITS)).view(np.intp))
+        split = np.flatnonzero(claims < 0)
+        if len(split):
             # (raw >> 11) * 2**-53 is the double Generator.random returns
-            claims[split] = np.searchsorted(cdf, (raw[split] >> 11) * 2.0**-53, side="right")
-        w += 2 - claims
-        live = w >= 1
-        if not live.all():
-            trial = trial[live]
-            w = w[live]
+            claims[split] = np.searchsorted(cdf, (raw.take(split) >> 11) * 2.0**-53, side="right")
+        s -= claims
+        lo = 1 - 2 * step  # surplus 1
+        hi = _safe_surplus(drop, n - step) - 2 * step
+        # no trial passes s = u, so none retires before hi comes down to u
+        retire = hi <= u and s.max() >= hi
+        if retire or s.min() < lo:
+            keep = s >= lo
+            if retire:
+                done = s >= hi
+                retired += int(np.count_nonzero(done))
+                keep &= ~done
+            keep = np.flatnonzero(keep)
+            trial = trial.take(keep)
+            s = s.take(keep)
             if not len(trial):
                 break
-    return len(trial)
+    return retired + len(trial)
 
 
 def mc_estimate(
@@ -257,7 +333,7 @@ def mc_estimate(
         raise ValueError("trial_chunk must be a positive multiple of 4")
     # a claim of u + 2N or more ruins every trial at every step, so a cdf
     # cut at the DP's bound u + 2N + 1 gives the same survivors
-    cdf = _claim_cdf(dist, min(dist.truncation_index(), u + 2 * cfg.horizon + 1))
+    cdf = _claim_cdf(dist, _claim_top(dist, u + 2 * cfg.horizon + 1))
     guide = _guide_table(cdf)
     chunk = cfg.trials if trial_chunk is None else trial_chunk
     survivors = 0

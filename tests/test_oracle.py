@@ -16,7 +16,8 @@ from ruinkit import (
     initial_values_closed_form,
     mc_estimate,
 )
-from ruinkit.oracle import _claim_cdf, _guide_table, _simulate_block
+from ruinkit.distributions import TAIL_EPSILON
+from ruinkit.oracle import _claim_cdf, _claim_top, _guide_table, _simulate_block
 
 from common import all_fixtures, enumerate_survival, laws, reference_dp, reference_survivors
 
@@ -101,7 +102,12 @@ def test_dp_cap_policy():
 
 
 # the window drops at most 2**-120 at each end of every trim, one trim every
-# 4 steps (the finite_horizon_dp docstring); 1e-14 covers float rounding
+# 4 steps (the finite_horizon_dp docstring).  The DP sums the mass it retires
+# once, where the dense reference keeps convolving it, so the reference's own
+# rounding shows.  It grows with the steps: over 300 drawn cases it was at
+# most 1.9e-14 (at 350 steps) against a long-double run of the same loop, and
+# the DP differed from the reference by at most 6.8e-17 a step, well under
+# 2**-52; 1e-14 covers the rest
 @settings(max_examples=50, deadline=None)
 @given(
     dist=laws,
@@ -115,11 +121,22 @@ def test_dp_cap_policy():
 # E Z = 27/5: every path is ruined or dropped after 84 steps
 @example(dist=ClaimDistribution.tabulated([F(1, 10), 0, 0, 0, 0, 0, F(9, 10)]), u=0,
          horizon=400, cap_room=None)
+# largest claims 2 and 1: every path alive after one step, or at the start,
+# survives for certain and retires
+@example(dist=ClaimDistribution.tabulated([F(3, 8), F(1, 4), F(3, 8)]), u=0, horizon=400,
+         cap_room=None)
+@example(dist=ClaimDistribution.bernoulli(F(1, 2)), u=3, horizon=400, cap_room=None)
+# a small user cap: paths that could still climb past it stay in the window,
+# so cap_absorbed is the reference's, not less
+@example(dist=ClaimDistribution.tabulated([F(3, 8), F(1, 4), F(3, 8)]), u=0, horizon=60,
+         cap_room=10)
+# the cap u + 2N given by hand: the DP retires, and none of it is absorbed
+@example(dist=ClaimDistribution.bernoulli(F(1, 2)), u=0, horizon=60, cap_room=118)
 def test_dp_band_matches_dense_reference(dist, u, horizon, cap_room):
     cap = None if cap_room is None else u + 2 + cap_room
     res = finite_horizon_dp(dist, u, DPConfig(horizon=horizon, surplus_cap=cap))
     value, absorbed = reference_dp(dist, u, horizon, cap)
-    bound = 2 * (horizon // 4) * 2.0**-120 + 1e-14
+    bound = 2 * (horizon // 4) * 2.0**-120 + horizon * 2.0**-52 + 1e-14
     assert abs(res.value - value) <= bound
     assert abs(res.cap_absorbed - (absorbed if cap is not None else 0.0)) <= bound
 
@@ -223,6 +240,17 @@ def test_philox_raw_word_is_generator_double():
 @example(dist=ClaimDistribution.geometric(F(1, 2)), u=0, seed=0, trials=1999, horizon=60, chunk=None)
 @example(dist=ClaimDistribution.geometric(F(1, 3)), u=1, seed=5, trials=1001, horizon=60, chunk=4)
 @example(dist=ClaimDistribution.geometric(F(2, 5)), u=2, seed=7, trials=1999, horizon=60, chunk=64)
+# largest claims 3 (the float cdf ends at 1 - 2**-53, below 1), 2 and 1:
+# trials retire as survivors once they are out of reach of ruin
+@example(dist=ClaimDistribution.tabulated([F(2, 23), F(16, 23), F(5, 23)]), u=0, seed=0,
+         trials=1999, horizon=60, chunk=None)
+@example(dist=ClaimDistribution.tabulated([F(3, 8), F(1, 4), F(3, 8)]), u=0, seed=2,
+         trials=1999, horizon=60, chunk=64)
+@example(dist=ClaimDistribution.bernoulli(F(1, 2)), u=0, seed=4, trials=1001, horizon=60,
+         chunk=4)
+# a start above the bound N + 1 of the first of these laws
+@example(dist=ClaimDistribution.tabulated([F(2, 23), F(16, 23), F(5, 23)]), u=70, seed=6,
+         trials=1001, horizon=60, chunk=None)
 def test_simulate_block_matches_reference(dist, u, seed, trials, horizon, chunk):
     cfg = MCConfig(trials=trials, horizon=horizon, seed=seed)
     cdf = _claim_cdf(dist, min(dist.truncation_index(), u + 2 * horizon + 1))
@@ -252,3 +280,81 @@ def test_mc_cut_cdf_keeps_the_survivors(u, horizon, seed, trials):
     cfg = MCConfig(trials=trials, horizon=horizon, seed=seed)
     survivors = reference_survivors(u, cfg, 0, trials, full)
     assert mc_estimate(dist, u, cfg).estimate == survivors / trials
+
+
+@pytest.mark.parametrize(
+    "dist, drop",
+    [
+        # the float cdf ends at 1 - 2**-53, so the uniform 1 - 2**-53 draws 3
+        (ClaimDistribution.tabulated([F(2, 23), F(16, 23), F(5, 23)]), 1),
+        (ClaimDistribution.tabulated([F(3, 8), F(1, 4), F(3, 8)]), 0),
+        (ClaimDistribution.geometric(F(1, 2)), 51),
+    ],
+    ids=["pmf:2/23,16/23,5/23", "pmf:3/8,1/4,3/8", "geometric(1/2)"],
+)
+def test_simulate_block_draws_nothing_past_the_bound(monkeypatch, dist, drop):
+    # a start u with u - drop·j >= 1 for j = 1..N survives every path, so the
+    # block returns every trial without a Philox word; one below, it steps
+    horizon, count = 30, 400
+    bound = max(drop * horizon, drop) + 1
+    cdf = _claim_cdf(dist, min(dist.truncation_index(), bound + 2 * horizon + 1))
+    guide = _guide_table(cdf)
+    philox = np.random.Philox
+    drawn = []
+
+    class CountingPhilox:
+        def __init__(self, *args, **kwargs):
+            self._bitgen = philox(*args, **kwargs)
+
+        state = property(
+            lambda self: self._bitgen.state,
+            lambda self, value: setattr(self._bitgen, "state", value),
+        )
+
+        def random_raw(self, size):
+            drawn.append(size)
+            return self._bitgen.random_raw(size)
+
+    monkeypatch.setattr(np.random, "Philox", CountingPhilox)
+    cfg = MCConfig(trials=count, horizon=horizon, seed=3)
+    assert _simulate_block(bound, cfg, 0, count, cdf, guide) == count
+    assert drawn == []
+    _simulate_block(bound - 1, cfg, 0, count, cdf, guide)
+    assert drawn
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dist=laws | st.integers(1, 999).map(lambda n: ClaimDistribution.geometric(F(n, 1000))),
+    data=st.data(),
+)
+@example(dist=ClaimDistribution.geometric(F(1, 2)), data=None)
+def test_claim_top_is_the_truncation_index_below_the_bound(dist, data):
+    k = dist.truncation_index()
+    bounds = [0, k - 1, k, k + 1, 10**20]
+    if data is not None:
+        bounds.append(data.draw(st.integers(0, 2 * k + 2)))
+    for bound in bounds:
+        if bound >= 0:
+            assert _claim_top(dist, bound) == min(k, bound), bound
+
+
+def test_oracles_cut_a_slowly_decaying_law_at_the_bound():
+    # K is about 3.7·10**6 for this law; both oracles need only the cap
+    dist = ClaimDistribution.geometric(F(1, 100000))
+    assert dist.tail_mass(5) >= TAIL_EPSILON
+    assert _claim_top(dist, 5) == 5
+    res = finite_horizon_dp(dist, 0, DPConfig(horizon=2))
+    assert res.truncation_index == 5
+    assert res.truncation_tail == float(dist.tail_mass(5))
+    assert mc_estimate(dist, 0, MCConfig(trials=1000, horizon=2)).estimate < 0.01
+
+
+def test_dp_retires_paths_out_of_reach_of_ruin():
+    # claims of at most 1 never lower the surplus: the value is exactly 1,
+    # where stepping the window 10**5 times rounded it to 1.0000000000000022
+    res = finite_horizon_dp(ClaimDistribution.bernoulli(F(1, 2)), 0, DPConfig(horizon=100_000))
+    assert res.value == 1.0
+    # claims of at most 2: survival is the first step's, P(Z <= 1) = 18/23
+    law = ClaimDistribution.tabulated([F(2, 23), F(16, 23), F(5, 23)])
+    assert abs(finite_horizon_dp(law, 0, DPConfig(horizon=5000)).value - 18 / 23) <= 1e-15
