@@ -168,23 +168,25 @@ class ClaimDistribution:
             return _series(u, r, top)[top] * Fraction(-r[1], r[0]) ** (k - top)
         return _series(u, r, k)[k]
 
-    def truncation_index(self) -> int:
-        """Smallest K with P(Z > K) < TAIL_EPSILON; identity on finite support."""
-        if self.support_bound is not None:
-            return self.support_bound
-        k = self._truncation_estimate()
-        while self.tail_mass(k) >= TAIL_EPSILON:
-            k += 1
-        return k
+    def truncation_index(self, at_most: int | None = None) -> int:
+        """Smallest K with P(Z > K) < TAIL_EPSILON; identity on finite support.
 
-    def _truncation_estimate(self) -> int:
-        """One short of the float-log estimate of truncation_index on an
-        infinite support, where the search starts stepping exactly: the tail
-        is c theta^k from k = deg U on (see tail_mass)."""
+        With ``at_most``, min(K, at_most), stepping no exact tail past
+        at_most: a slowly decaying law has its K far out (about 3.7·10**6 for
+        geometric(1/100000)), where each tail has millions of digits.
+        """
+        stop = math.inf if at_most is None else at_most
+        if self.support_bound is not None:
+            return min(self.support_bound, stop)
+        # the tail is c theta^k from k = deg U on (see tail_mass): step up
+        # exactly from one short of the log estimate of its crossing
         p, r, _q = self.rational_pgf
         top, log_theta = max(len(p), len(r)) - 2, math.log(Fraction(-r[1], r[0]))
         log_c = math.log(self.tail_mass(top)) - top * log_theta
-        return max(0, int((math.log(TAIL_EPSILON) - log_c) / log_theta) - 1)
+        k = max(0, int((math.log(TAIL_EPSILON) - log_c) / log_theta) - 1)
+        while k < stop and self.tail_mass(k) >= TAIL_EPSILON:
+            k += 1
+        return min(k, stop)
 
     # -- generating function ----------------------------------------------
 

@@ -62,7 +62,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .distributions import TAIL_EPSILON, ClaimDistribution
+from .distributions import ClaimDistribution
 
 if TYPE_CHECKING:
     import numpy as np
@@ -131,7 +131,7 @@ def finite_horizon_dp(dist: ClaimDistribution, u: int, cfg: DPConfig) -> DPResul
     import numpy as np
 
     # claims beyond cap + 1 ruin every in-cap state; dropping them is exact
-    k_top = _claim_top(dist, cap + 1)
+    k_top = dist.truncation_index(cap + 1)
     hr = np.array([float(v) for v in reversed(dist.pmf_prefix(k_top))], dtype=np.float64)
     reach = 2 * _TRIM_EVERY * (k_top + 1)
 
@@ -179,26 +179,6 @@ def _safe_surplus(drop: int, steps: int) -> int:
     claims, when none lowers the surplus by more than ``drop``: w - drop·j
     >= 1 for every j = 1..steps."""
     return max(drop * steps, drop) + 1
-
-
-def _claim_top(dist: ClaimDistribution, bound: int) -> int:
-    """min(dist.truncation_index(), bound), without stepping to K when the
-    bound binds.
-
-    P(Z > bound) >= TAIL_EPSILON means K > bound, as the tail decreases.  A
-    slowly decaying law has its K far out (about 3.7·10**6 for
-    geometric(1/100000)), where each exact tail costs millions of digits, so
-    the tail at the bound is tried first.  It is tried only up to the float
-    estimate of K, so a bound far past K (a huge u) costs no tail at the
-    bound either.
-    """
-    if (
-        dist.support_bound is None
-        and bound <= dist._truncation_estimate()
-        and dist.tail_mass(bound) >= TAIL_EPSILON
-    ):
-        return bound
-    return min(dist.truncation_index(), bound)
 
 
 def _droppable(v: np.ndarray, reach: int) -> int:
@@ -333,7 +313,7 @@ def mc_estimate(
         raise ValueError("trial_chunk must be a positive multiple of 4")
     # a claim of u + 2N or more ruins every trial at every step, so a cdf
     # cut at the DP's bound u + 2N + 1 gives the same survivors
-    cdf = _claim_cdf(dist, _claim_top(dist, u + 2 * cfg.horizon + 1))
+    cdf = _claim_cdf(dist, dist.truncation_index(u + 2 * cfg.horizon + 1))
     guide = _guide_table(cdf)
     chunk = cfg.trials if trial_chunk is None else trial_chunk
     survivors = 0

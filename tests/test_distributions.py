@@ -3,7 +3,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ruinkit import ClaimDistribution, DistributionError, compute_coefficients, root_profile
 from ruinkit.distributions import TAIL_EPSILON
@@ -141,6 +142,22 @@ def test_truncation_index_geometric():
         assert k == want
         assert (1 - p) ** (k + 1) < F(1, 10**16)
         assert (1 - p) ** k >= TAIL_EPSILON / 2  # not absurdly deep
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dist=laws | st.integers(1, 999).map(lambda n: ClaimDistribution.geometric(F(n, 1000))),
+    data=st.data(),
+)
+@example(dist=ClaimDistribution.geometric(F(1, 2)), data=None)
+def test_truncation_index_at_most_is_the_smaller_of_k_and_the_bound(dist, data):
+    k = dist.truncation_index()
+    bounds = [0, k - 1, k, k + 1, 10**20]
+    if data is not None:
+        bounds.append(data.draw(st.integers(0, 2 * k + 2)))
+    for bound in bounds:
+        if bound >= 0:
+            assert dist.truncation_index(bound) == min(k, bound), bound
 
 
 def test_tail_mass_is_the_exact_prefix_complement():

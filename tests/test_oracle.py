@@ -17,7 +17,7 @@ from ruinkit import (
     mc_estimate,
 )
 from ruinkit.distributions import TAIL_EPSILON
-from ruinkit.oracle import _claim_cdf, _claim_top, _guide_table, _simulate_block
+from ruinkit.oracle import _claim_cdf, _guide_table, _simulate_block
 
 from common import all_fixtures, enumerate_survival, laws, reference_dp, reference_survivors
 
@@ -102,12 +102,10 @@ def test_dp_cap_policy():
 
 
 # the window drops at most 2**-120 at each end of every trim, one trim every
-# 4 steps (the finite_horizon_dp docstring).  The DP sums the mass it retires
-# once, where the dense reference keeps convolving it, so the reference's own
-# rounding shows.  It grows with the steps: over 300 drawn cases it was at
-# most 1.9e-14 (at 350 steps) against a long-double run of the same loop, and
-# the DP differed from the reference by at most 6.8e-17 a step, well under
-# 2**-52; 1e-14 covers the rest
+# 4 steps (the finite_horizon_dp docstring); 1e-14 covers float rounding.
+# Both convolve the float pmf, whose exact sum s is not always 1: each step
+# scales the live mass by s.  The DP sums the mass it retires once, where the
+# reference keeps scaling it, so their values may part by N·|1 - s| more
 @settings(max_examples=50, deadline=None)
 @given(
     dist=laws,
@@ -136,8 +134,9 @@ def test_dp_band_matches_dense_reference(dist, u, horizon, cap_room):
     cap = None if cap_room is None else u + 2 + cap_room
     res = finite_horizon_dp(dist, u, DPConfig(horizon=horizon, surplus_cap=cap))
     value, absorbed = reference_dp(dist, u, horizon, cap)
-    bound = 2 * (horizon // 4) * 2.0**-120 + horizon * 2.0**-52 + 1e-14
-    assert abs(res.value - value) <= bound
+    bound = 2 * (horizon // 4) * 2.0**-120 + 1e-14
+    s = sum(F(float(p)) for p in dist.pmf_prefix(res.truncation_index))
+    assert abs(res.value - value) <= bound + float(horizon * abs(1 - s))
     assert abs(res.cap_absorbed - (absorbed if cap is not None else 0.0)) <= bound
 
 
@@ -323,27 +322,11 @@ def test_simulate_block_draws_nothing_past_the_bound(monkeypatch, dist, drop):
     assert drawn
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    dist=laws | st.integers(1, 999).map(lambda n: ClaimDistribution.geometric(F(n, 1000))),
-    data=st.data(),
-)
-@example(dist=ClaimDistribution.geometric(F(1, 2)), data=None)
-def test_claim_top_is_the_truncation_index_below_the_bound(dist, data):
-    k = dist.truncation_index()
-    bounds = [0, k - 1, k, k + 1, 10**20]
-    if data is not None:
-        bounds.append(data.draw(st.integers(0, 2 * k + 2)))
-    for bound in bounds:
-        if bound >= 0:
-            assert _claim_top(dist, bound) == min(k, bound), bound
-
-
 def test_oracles_cut_a_slowly_decaying_law_at_the_bound():
     # K is about 3.7·10**6 for this law; both oracles need only the cap
     dist = ClaimDistribution.geometric(F(1, 100000))
     assert dist.tail_mass(5) >= TAIL_EPSILON
-    assert _claim_top(dist, 5) == 5
+    assert dist.truncation_index(5) == 5
     res = finite_horizon_dp(dist, 0, DPConfig(horizon=2))
     assert res.truncation_index == 5
     assert res.truncation_tail == float(dist.tail_mass(5))
