@@ -4,13 +4,25 @@ phi_N(u) = P(W(n) > 0 for all 1 <= n <= N) decreases to phi(u) as N grows,
 which makes it a cross-check oracle for every analytic route: it depends on
 nothing but the model definition.
 
-Both oracles retire a path as a survivor once no claim sequence can ruin it.
-With D = (largest claim the oracle can draw) - 2, a path at surplus w with
-k steps left survives for certain when w - D·j >= 1 for every j = 1..k,
-that is when w >= max(D·k, D) + 1 (_safe_surplus; cf. Asmussen & Albrecher,
-*Ruin Probabilities*, 2nd ed., 2010).  Retirement is exact: a retired path
-is counted with the probability it already carries, and stepping it further
-could only round that.
+Both oracles retire a path as a survivor once its surplus w reaches the
+retirement bound of the k steps left (_safe_surplus), the smaller of two:
+
+* no claim sequence can ruin it.  With D = (largest claim the oracle can
+  draw) - 2, it survives for certain when w - D·j >= 1 for every
+  j = 1..k, that is when w >= max(D·k, D) + 1;
+* Lundberg's bound puts its ruin below _DROP_EPSILON = 2**-120.  With r
+  the certified rational lower end of the outer root rho
+  (``roots.rho_lower``), ruin from w has probability at most r^(-w) over
+  any horizon, so w >= W*, the least w with r^(-w) <= 2**-120.  W* is
+  rounded up from a float log with a margin of 2**-40, far above the few
+  ulps that log and quotient err by.  Laws with E Z >= 2 or claims of at
+  most 2 have no rho, and only the first bound applies.
+
+W* is computed once per oracle call (Asmussen & Albrecher, *Ruin
+Probabilities*, 2nd ed., 2010, ch. IV).  A retired path is counted with the
+probability it already carries.  Under the first bound that is exact;
+under the second it overcounts survival by at most the retired mass times
+2**-120.
 
 The DP runs forward over the surplus lattice (ruin states are absorbing and
 dropped; the surplus moves by 2 - Z each step).  States above
@@ -26,9 +38,13 @@ retirement bound, with D = k_top - 2 from the claims it convolves, leave the
 window for a separate ``safe`` sum, unless the window could still climb past
 a user cap, so ``cap_absorbed`` stays the cap policy's overcount.  The loop
 stops once the window is empty (all mass ruined, dropped, absorbed or
-retired).  The DP is thus exact up to claim-tail truncation, float rounding
-and at most 2 * trims * _DROP_EPSILON of dropped mass, with
-trims <= N / _TRIM_EVERY: under 1e-27 for N up to 10**9.
+retired).  When the law has rho, the window never holds a surplus of W* or
+more, so it empties within a few hundred steps on geometric(1/2) and the
+value stops gathering rounding with N.  The DP is thus exact up to
+claim-tail truncation, float rounding, at most 2 * trims * _DROP_EPSILON of
+dropped mass, with trims <= N / _TRIM_EVERY, and at most (retired mass) *
+_DROP_EPSILON <= 2**-120 of retired mass that would still have been
+ruined: under 1e-27 for N up to 10**9.
 
 The Monte Carlo is bit-reproducible and partition-independent: claims for
 step j live on the Philox counter plane j << 128 under the run's key (the
@@ -41,16 +57,22 @@ Each step keeps only the live trials (their indices and surplus), compacted
 after every step that ruins or retires one, and ends the block once none is
 left.  The largest claim is searchsorted(cdf, 1 - 2**-53, "right"), the most
 either lookup below can return; a block whose u meets the retirement bound
-draws nothing.  One Philox generator per block is moved to each step's
-counter plane by setting its state, and trial i still consumes word i of
-that plane, so neither changes which trials survive.  Raw Philox words map
-to claims without a Generator: word w is the uniform (w >> 11) * 2**-53, the
-double ``Generator.random`` would draw from it, and its top _GUIDE_BITS bits
-pick a guide-table bucket (Chen & Asau 1974).  A
-bucket that holds no cdf point gives its claim directly; only the few buckets
-split by a cdf point fall back to the binary search.  Either way the claim is
-``searchsorted(cdf, uniform, "right")``, so the survivors are exactly those of
-stepping every trial with Generator uniforms and a full binary search.
+draws nothing.  A trial retired by the first bound survives whatever it
+draws.  Under the exact law, the survivors therefore equal those of stepping
+every trial, except on an event of probability at most trials * 2**-120,
+that a trial retired at W* would have been ruined later.  One Philox
+generator per block is moved to each step's counter plane by setting its
+state, and trial i still consumes word i of that plane, so neither changes
+which trials survive.  Raw Philox words map to claims without a Generator:
+word w is the uniform (w >> 11) * 2**-53, the double ``Generator.random``
+would draw from it, and its top _GUIDE_BITS bits pick a guide-table bucket
+(Chen & Asau 1974).  A bucket that holds no cdf point gives its claim
+directly; only the few buckets split by a cdf point fall back to the binary
+search.  Either way the claim is ``searchsorted(cdf, uniform, "right")``, so
+the draws are exactly those of stepping every trial with Generator uniforms
+and a full binary search.  Each draw follows the float cdf, which differs
+from the exact law's by its own rounding, a few ulps of 1 per point, and by
+the claim tail past its truncation index.
 
 numpy is imported inside the functions that run the oracles, so the exact
 commands never load it.
@@ -63,6 +85,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .distributions import ClaimDistribution
+from .roots import rho_lower
 
 if TYPE_CHECKING:
     import numpy as np
@@ -115,10 +138,14 @@ def finite_horizon_dp(dist: ClaimDistribution, u: int, cfg: DPConfig) -> DPResul
 
     Survive step n from surplus w iff the claim z satisfies w + 2 - z >= 1;
     mass moving to w' > cap is absorbed as safe, mass at w' <= 0 is ruined
-    and dropped.  Only the window of live states that carries mass and can
-    still be ruined is convolved (see the module docstring), so the value is
-    exact up to claim truncation, float rounding and at most
-    2 * trims * _DROP_EPSILON of dropped mass, with trims <= N / _TRIM_EVERY.
+    and dropped.  Only the window of live states that carries mass and lies
+    below the retirement bound is convolved (see the module docstring).
+    Mass at or above the bound is retired as safe: at max(D·k, D) + 1 it
+    survives for certain, and at W*, from Lundberg's bound on the certified
+    r <= rho, it is ruined later with probability at most 2**-120.  So the
+    value is exact up to claim truncation, float rounding, at most
+    2 * trims * _DROP_EPSILON of dropped mass, with trims <= N / _TRIM_EVERY,
+    and an overcount of at most (retired mass) * 2**-120 <= 2**-120.
     """
     if u < 0:
         raise ValueError("initial surplus must be non-negative")
@@ -134,16 +161,17 @@ def finite_horizon_dp(dist: ClaimDistribution, u: int, cfg: DPConfig) -> DPResul
     k_top = dist.truncation_index(cap + 1)
     hr = np.array([float(v) for v in reversed(dist.pmf_prefix(k_top))], dtype=np.float64)
     reach = 2 * _TRIM_EVERY * (k_top + 1)
+    lundberg = _lundberg_surplus(dist)
 
     # v[i] = P(alive, surplus = base + i), from the point mass on u
     v = np.ones(1, dtype=np.float64)
     base = u
     absorbed = safe = 0.0
     for step in range(1, n_steps + 1):
-        # retire the top of the window once it survives the steps left
-        # whatever the claims, unless it could still climb past the cap
+        # retire the top of the window once it meets the bound of the steps
+        # left, unless it could still climb past the cap
         left = n_steps - step + 1
-        cut = max(0, _safe_surplus(k_top - 2, left) - base)
+        cut = max(0, _safe_surplus(k_top - 2, left, lundberg) - base)
         if cut < len(v) and base + len(v) - 1 + 2 * left <= cap:
             safe += float(v[cut:].sum())
             v = v[:cut]
@@ -174,11 +202,34 @@ def finite_horizon_dp(dist: ClaimDistribution, u: int, cfg: DPConfig) -> DPResul
     )
 
 
-def _safe_surplus(drop: int, steps: int) -> int:
-    """Lowest surplus w that survives ``steps`` more steps whatever the
-    claims, when none lowers the surplus by more than ``drop``: w - drop·j
-    >= 1 for every j = 1..steps."""
-    return max(drop * steps, drop) + 1
+def _safe_surplus(drop: int, steps: int, lundberg: int | None) -> int:
+    """The retirement bound: the lowest surplus w from which a path with
+    ``steps`` more steps is retired as a survivor.
+
+    It is the smaller of the surplus that survives whatever the claims, when
+    none lowers the surplus by more than ``drop`` (w - drop·j >= 1 for every
+    j = 1..steps), and ``lundberg``, the W* of _lundberg_surplus (None when
+    the law has no rho).
+    """
+    certain = max(drop * steps, drop) + 1
+    return certain if lundberg is None else min(certain, lundberg)
+
+
+def _lundberg_surplus(dist: ClaimDistribution) -> int | None:
+    """W*, a surplus from which ruin has probability at most _DROP_EPSILON
+    over any horizon, or None when the law has no rho (``rho_lower``).
+
+    Ruin from w has probability at most r^(-w), with r the certified lower
+    end of rho, so W* is the least w >= -log(_DROP_EPSILON) / log(r), rounded
+    up from floats with a relative margin of 2**-40.  r - 1 is dyadic with a
+    short numerator, so it converts to a float exactly, and log1p, the
+    quotient and the product err by a few ulps between them: W* is the exact
+    least w or one more for any W* below 2**38.
+    """
+    r = rho_lower(dist)
+    if r is None:
+        return None
+    return math.ceil(-math.log(_DROP_EPSILON) / math.log1p(r - 1) * (1 + 2.0**-40))
 
 
 def _droppable(v: np.ndarray, reach: int) -> int:
@@ -232,6 +283,7 @@ def _simulate_block(
     count: int,
     cdf: np.ndarray,
     guide: np.ndarray,
+    lundberg: int | None,
 ) -> int:
     """Number of surviving trials among [start, start + count).
 
@@ -240,15 +292,18 @@ def _simulate_block(
     surplus of each, compacted after every step that ruins or retires one.
     ``s`` is the surplus less 2·step, so a step subtracts the claim alone.
     The largest claim a uniform can map to is searchsorted(cdf, 1 - 2**-53,
-    "right"); a trial whose surplus reaches _safe_surplus of the steps left
-    survives whatever it draws, so it is retired as a survivor, at the start
-    too: a ``u`` that meets the bound draws nothing.
+    "right").  A trial whose surplus reaches _safe_surplus of the steps left
+    survives whatever it draws, or, at ``lundberg`` (W*, or None without
+    rho), is ruined later with probability at most 2**-120.  It is retired
+    as a survivor, at the start too: a ``u`` that meets the bound draws
+    nothing.  So the count is that of stepping every trial, except on an
+    event of probability at most count * 2**-120 under the exact law.
     """
     import numpy as np
 
     n = cfg.horizon
     drop = int(np.searchsorted(cdf, 1.0 - 2.0**-53, side="right")) - 2
-    if u >= _safe_surplus(drop, n):
+    if u >= _safe_surplus(drop, n, lundberg):
         return count
     # one generator, moved to the counter plane of each step: the counter's
     # words are (start >> 2, 0, step, 0), and its buffer starts empty
@@ -272,7 +327,7 @@ def _simulate_block(
             claims[split] = np.searchsorted(cdf, (raw.take(split) >> 11) * 2.0**-53, side="right")
         s -= claims
         lo = 1 - 2 * step  # surplus 1
-        hi = _safe_surplus(drop, n - step) - 2 * step
+        hi = _safe_surplus(drop, n - step, lundberg) - 2 * step
         # no trial passes s = u, so none retires before hi comes down to u
         retire = hi <= u and s.max() >= hi
         if retire or s.min() < lo:
@@ -315,12 +370,13 @@ def mc_estimate(
     # cut at the DP's bound u + 2N + 1 gives the same survivors
     cdf = _claim_cdf(dist, dist.truncation_index(u + 2 * cfg.horizon + 1))
     guide = _guide_table(cdf)
+    lundberg = _lundberg_surplus(dist)
     chunk = cfg.trials if trial_chunk is None else trial_chunk
     survivors = 0
     start = 0
     while start < cfg.trials:
         count = min(chunk, cfg.trials - start)
-        survivors += _simulate_block(u, cfg, start, count, cdf, guide)
+        survivors += _simulate_block(u, cfg, start, count, cdf, guide, lundberg)
         start += count
     estimate = survivors / cfg.trials
     half_width = 1.96 * math.sqrt(max(estimate * (1.0 - estimate), 0.0) / cfg.trials)

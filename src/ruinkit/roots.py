@@ -1,4 +1,5 @@
-"""Zero location for H(s) - s^2 on the closed unit disk.
+"""Zero location for H(s) - s^2 on the closed unit disk, and a certified
+lower end of the outer root rho.
 
 For a primitive claim law the function H(s) - s^2 has exactly one simple
 negative zero -1/alpha in (-1, 0) (bracketed by H(0) - 0 = h_0 > 0 and
@@ -29,6 +30,11 @@ keeps those brackets, and ``RootProfile.refined`` continues them to a
 rational root of any width (``refine_alpha`` starts afresh from [-1, 0]),
 which downstream series evaluations use to keep the single irrational from
 amplifying through exact recurrences.
+
+Outside the disk, ``rho_lower`` brackets rho, the smallest zero of Q in
+(1, inf), by Sturm counts on rational intervals, and returns the lower end:
+a rational r with Q < 0 on (1, r], which proves Lundberg's bound
+P(ruin from w) <= r^(-w).  The oracles retire paths on it.
 """
 
 from __future__ import annotations
@@ -229,22 +235,90 @@ def interior_sign_changes(dist: ClaimDistribution) -> int:
     return _sturm_count(dist.rational_pgf[2]) - 1
 
 
-def _sturm_count(poly: list[int]) -> int:
-    """Distinct real roots in (-1, 1] of a nonzero integer polynomial
-    (coefficients lowest degree first), by Sturm's theorem.
+#: rho_lower narrows its bracket (1 + lo, 1 + hi] of rho until
+#: hi - lo <= lo·_RHO_SLACK, so that r - 1 >= (rho - 1)/(1 + _RHO_SLACK)
+_RHO_SLACK = Fraction(1, 50)
+
+
+def rho_lower(dist: ClaimDistribution) -> Fraction | None:
+    """A certified rational lower end r of rho, the smallest zero of
+    Q = P - s^2 R in (1, inf), or None when E Z >= 2 or Q has no zero there
+    (claims of at most 2: Bernoulli laws and laws on {0, 1, 2}).
+
+    The certificate is 1 < r, Q(r) < 0 and no zero of Q in (1, r], by a
+    Sturm count of the squarefree part of Q (``_sturm_count``); r - 1 lies
+    within 2% of rho - 1.  It needs no primitivity, so the even lattice,
+    where Q is even and -rho is a zero too, is served alike.
+
+    That certificate alone proves Lundberg's bound P(ruin from w) <= r^(-w)
+    (Asmussen & Albrecher, *Ruin Probabilities*, 2010, ch. IV).  R > 0 on
+    [0, 1], and P > 0 on [0, inf).  Q < 0 just above 1, as
+    Q'(1) = R(1)(E Z - 2) < 0.  If R had a zero in (1, r], the smallest, z,
+    would give Q(z) = P(z) > 0, so Q would vanish in (1, z): no such zero
+    exists.  So R > 0 on [0, r], and the series E r^Z converges to
+    H(r) = P(r)/R(r): its coefficients are non-negative, so its first
+    singularity is a positive zero of R.  Q(r) < 0 then gives
+    E r^(Z - 2) = H(r)/r^2 < 1, so r^(-W(n)), stopped at ruin, is a
+    supermartingale.  At ruin W <= 0 makes it at least 1, and optional
+    stopping gives the bound.
+    """
+    if dist.mean() >= 2:
+        return None
+    q = dist.rational_pgf[2]
+    seq = _squarefree_sturm(q)
+    at_one = _variations(seq, 1)
+
+    def zeros(t) -> int:  # zeros of Q in (1, 1 + t]
+        return at_one - _variations(seq, 1 + t)
+
+    # Cauchy: every zero has modulus at most 1 + max |q_i / lead|, and t
+    # is the ceiling of that max
+    lead = abs(next(c for c in reversed(q) if c))
+    if not zeros(-(-max(map(abs, q)) // lead)):
+        return None
+    # a dyadic bracket (1 + lo, 1 + hi] of rho with hi = 2 lo, then halved
+    hi = Fraction(1)
+    while zeros(hi / 2):
+        hi /= 2
+    while not zeros(hi):
+        hi *= 2
+    lo = hi / 2
+    while hi - lo > lo * _RHO_SLACK:
+        mid = (lo + hi) / 2
+        if zeros(mid):
+            hi = mid
+        else:
+            lo = mid
+    r = 1 + lo
+    assert _value(q, r.numerator, r.denominator) < 0
+    return r
+
+
+def _sturm_count(poly: list[int], lo=-1, hi=1) -> int:
+    """Distinct real roots in (lo, hi] of a nonzero integer polynomial
+    (coefficients lowest degree first), by Sturm's theorem, for rational
+    lo < hi (ints or Fractions; (-1, 1] by default).
 
     The sequence S_0 = f, S_1 = f', S_{k+1} = -rem(S_{k-1}, S_k) stays in
     integers: pseudo-division with a positive multiplier and removal of the
     content scale each term by a positive constant, which keeps its signs.
     A repeated root is divided out first.  For squarefree f the number V(s)
     of sign changes along the sequence, zeros skipped, is right-continuous,
-    so V(-1) - V(1) counts the roots in (-1, 1] even where f(1) = 0.
+    so V(lo) - V(hi) counts the roots in (lo, hi] even where f vanishes at
+    an end.  Each term is signed at n/d, d > 0, by the integer
+    S_k(n/d)·d^(deg S_k) (``_value``).
     """
+    seq = _squarefree_sturm(poly)
+    return _variations(seq, lo) - _variations(seq, hi)
+
+
+def _squarefree_sturm(poly: list[int]) -> list[list[int]]:
+    """The Sturm sequence of poly with its repeated roots divided out."""
     f = _primitive(poly)
     seq = _sturm_sequence(f)
     if len(seq[-1]) > 1:  # the last term is gcd(f, f') of positive degree
         seq = _sturm_sequence(_primitive(_pseudo_divmod(f, seq[-1])[0]))
-    return _variations(seq, -1) - _variations(seq, 1)
+    return seq
 
 
 def _sturm_sequence(f: list[int]) -> list[list[int]]:
@@ -283,9 +357,11 @@ def _primitive(f: list[int]) -> list[int]:
     return [c // g for c in f] if g > 1 else f
 
 
-def _variations(seq: list[list[int]], s: int) -> int:
-    """Sign changes along the values of ``seq`` at s, zeros skipped."""
-    signs = [v > 0 for v in (sum(c * s**k for k, c in enumerate(f)) for f in seq) if v]
+def _variations(seq: list[list[int]], s) -> int:
+    """Sign changes along the values of ``seq`` at the rational s, zeros
+    skipped."""
+    n, d = Fraction(s).as_integer_ratio()
+    signs = [v > 0 for v in (_value(f, n, d) for f in seq if f) if v]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 

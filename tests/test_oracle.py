@@ -17,7 +17,15 @@ from ruinkit import (
     mc_estimate,
 )
 from ruinkit.distributions import TAIL_EPSILON
-from ruinkit.oracle import _claim_cdf, _guide_table, _simulate_block
+from ruinkit.oracle import (
+    _DROP_EPSILON,
+    _claim_cdf,
+    _guide_table,
+    _lundberg_surplus,
+    _safe_surplus,
+    _simulate_block,
+)
+from ruinkit.roots import rho_lower
 
 from common import all_fixtures, enumerate_survival, laws, reference_dp, reference_survivors
 
@@ -102,7 +110,8 @@ def test_dp_cap_policy():
 
 
 # the window drops at most 2**-120 at each end of every trim, one trim every
-# 4 steps (the finite_horizon_dp docstring); 1e-14 covers float rounding.
+# 4 steps, and retiring mass at W* overcounts by at most 2**-120 in all (the
+# finite_horizon_dp docstring); 1e-14 covers float rounding.
 # Both convolve the float pmf, whose exact sum s is not always 1: each step
 # scales the live mass by s.  The DP sums the mass it retires once, where the
 # reference keeps scaling it, so their values may part by N·|1 - s| more
@@ -134,7 +143,7 @@ def test_dp_band_matches_dense_reference(dist, u, horizon, cap_room):
     cap = None if cap_room is None else u + 2 + cap_room
     res = finite_horizon_dp(dist, u, DPConfig(horizon=horizon, surplus_cap=cap))
     value, absorbed = reference_dp(dist, u, horizon, cap)
-    bound = 2 * (horizon // 4) * 2.0**-120 + 1e-14
+    bound = 2 * (horizon // 4) * 2.0**-120 + 2.0**-120 + 1e-14
     s = sum(F(float(p)) for p in dist.pmf_prefix(res.truncation_index))
     assert abs(res.value - value) <= bound + float(horizon * abs(1 - s))
     assert abs(res.cap_absorbed - (absorbed if cap is not None else 0.0)) <= bound
@@ -247,6 +256,9 @@ def test_philox_raw_word_is_generator_double():
          trials=1999, horizon=60, chunk=64)
 @example(dist=ClaimDistribution.bernoulli(F(1, 2)), u=0, seed=4, trials=1001, horizon=60,
          chunk=4)
+# W* = 174 binds: surviving trials retire there long before D·k + 1 = 51·k + 1
+@example(dist=ClaimDistribution.geometric(F(1, 2)), u=0, seed=11, trials=1001, horizon=300,
+         chunk=64)
 # a start above the bound N + 1 of the first of these laws
 @example(dist=ClaimDistribution.tabulated([F(2, 23), F(16, 23), F(5, 23)]), u=70, seed=6,
          trials=1001, horizon=60, chunk=None)
@@ -255,8 +267,9 @@ def test_simulate_block_matches_reference(dist, u, seed, trials, horizon, chunk)
     cdf = _claim_cdf(dist, min(dist.truncation_index(), u + 2 * horizon + 1))
     guide = _guide_table(cdf)
     step = trials if chunk is None else chunk
+    lundberg = _lundberg_surplus(dist)
     survivors = sum(
-        _simulate_block(u, cfg, start, min(step, trials - start), cdf, guide)
+        _simulate_block(u, cfg, start, min(step, trials - start), cdf, guide, lundberg)
         for start in range(0, trials, step)
     )
     assert survivors == reference_survivors(u, cfg, 0, trials, cdf)
@@ -282,21 +295,28 @@ def test_mc_cut_cdf_keeps_the_survivors(u, horizon, seed, trials):
 
 
 @pytest.mark.parametrize(
-    "dist, drop",
+    "dist, drop, horizon",
     [
         # the float cdf ends at 1 - 2**-53, so the uniform 1 - 2**-53 draws 3
-        (ClaimDistribution.tabulated([F(2, 23), F(16, 23), F(5, 23)]), 1),
-        (ClaimDistribution.tabulated([F(3, 8), F(1, 4), F(3, 8)]), 0),
-        (ClaimDistribution.geometric(F(1, 2)), 51),
+        (ClaimDistribution.tabulated([F(2, 23), F(16, 23), F(5, 23)]), 1, 30),
+        (ClaimDistribution.tabulated([F(3, 8), F(1, 4), F(3, 8)]), 0, 30),
+        # D·N + 1 = 154 lies below W* = 174
+        (ClaimDistribution.geometric(F(1, 2)), 51, 3),
+        # W* binds: u = W* and W* - 1
+        (ClaimDistribution.geometric(F(1, 2)), 51, 30),
     ],
-    ids=["pmf:2/23,16/23,5/23", "pmf:3/8,1/4,3/8", "geometric(1/2)"],
+    ids=["pmf:2/23,16/23,5/23", "pmf:3/8,1/4,3/8", "geometric(1/2)", "geometric(1/2)-lundberg"],
 )
-def test_simulate_block_draws_nothing_past_the_bound(monkeypatch, dist, drop):
-    # a start u with u - drop·j >= 1 for j = 1..N survives every path, so the
-    # block returns every trial without a Philox word; one below, it steps
-    horizon, count = 30, 400
-    bound = max(drop * horizon, drop) + 1
+def test_simulate_block_draws_nothing_past_the_bound(monkeypatch, dist, drop, horizon):
+    # a start u at the retirement bound, min(max(drop·N, drop) + 1, W*), is
+    # retired at once: the block returns every trial without a Philox word;
+    # one below, it steps
+    count = 400
+    lundberg = _lundberg_surplus(dist)
+    bound = _safe_surplus(drop, horizon, lundberg)
+    assert bound == min(max(drop * horizon, drop) + 1, lundberg or math.inf)
     cdf = _claim_cdf(dist, min(dist.truncation_index(), bound + 2 * horizon + 1))
+    assert int(np.searchsorted(cdf, 1.0 - 2.0**-53, side="right")) - 2 == drop
     guide = _guide_table(cdf)
     philox = np.random.Philox
     drawn = []
@@ -316,10 +336,21 @@ def test_simulate_block_draws_nothing_past_the_bound(monkeypatch, dist, drop):
 
     monkeypatch.setattr(np.random, "Philox", CountingPhilox)
     cfg = MCConfig(trials=count, horizon=horizon, seed=3)
-    assert _simulate_block(bound, cfg, 0, count, cdf, guide) == count
+    assert _simulate_block(bound, cfg, 0, count, cdf, guide, lundberg) == count
     assert drawn == []
-    _simulate_block(bound - 1, cfg, 0, count, cdf, guide)
+    _simulate_block(bound - 1, cfg, 0, count, cdf, guide, lundberg)
     assert drawn
+
+
+def test_lundberg_surplus_is_the_least_certified_surplus():
+    # W* is the least w with r^(-w) <= 2**-120, or one more (float margin)
+    assert _lundberg_surplus(ClaimDistribution.geometric(F(1, 2))) == 174
+    assert _lundberg_surplus(ClaimDistribution.tabulated([F(2, 23), F(16, 23), F(5, 23)])) is None
+    for dist in all_fixtures():
+        r, w = rho_lower(dist), _lundberg_surplus(dist)
+        assert (r is None) == (w is None), dist.label()
+        if r is not None:
+            assert r**-w <= F(_DROP_EPSILON) < r ** -(w - 2), dist.label()
 
 
 def test_oracles_cut_a_slowly_decaying_law_at_the_bound():
@@ -341,3 +372,11 @@ def test_dp_retires_paths_out_of_reach_of_ruin():
     # claims of at most 2: survival is the first step's, P(Z <= 1) = 18/23
     law = ClaimDistribution.tabulated([F(2, 23), F(16, 23), F(5, 23)])
     assert abs(finite_horizon_dp(law, 0, DPConfig(horizon=5000)).value - 18 / 23) <= 1e-15
+
+
+def test_dp_long_horizon_lands_on_phi():
+    # paths retire at W*, so the window empties within a few hundred steps
+    # and the value stops gathering rounding with the horizon: it read
+    # 1.0e-12 below phi(0) when every path was stepped to N = 20000
+    res = finite_horizon_dp(ClaimDistribution.geometric(F(1, 2)), 0, DPConfig(horizon=20000))
+    assert abs(res.value - (math.sqrt(5.0) - 1.0) / 2.0) <= 1e-14

@@ -4,6 +4,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,19 +13,29 @@ from ruinkit import (
     ClaimDistribution,
     RootLocationError,
     compute_coefficients,
+    initial_values_closed_form,
     refine_alpha,
     root_profile,
     solve,
     vanishing_order,
 )
 from ruinkit import roots
-from ruinkit.roots import _sturm_count, alpha_residual, beta_residual, interior_sign_changes
+from ruinkit.distributions import _value
+from ruinkit.roots import (
+    _deflate_at_one,
+    _sturm_count,
+    alpha_residual,
+    beta_residual,
+    interior_sign_changes,
+    rho_lower,
+)
 
 from common import (
     bernoulli_fixtures,
     geometric_fixtures,
     laws,
     primitive_fixtures,
+    reference_phi_table,
     reference_refine_alpha,
     reference_zero,
 )
@@ -153,6 +164,84 @@ def test_sturm_count_crafted_polynomials():
     # E Z = 2: only the squarefree part gives the right count there
     assert _sturm_count(_product([1, 1], [1, 1], [-1, 2])) == 1  # (s + 1)^2 (2s - 1)
     assert _sturm_count(_product([-1, 1], [-1, 1], [-2, 1])) == 1  # (s - 1)^2 (s - 2)
+
+
+def test_sturm_count_on_rational_intervals():
+    # (2s - 1)(s - 3)(3s - 5): roots 1/2, 5/3 and 3, counted on (lo, hi]
+    poly = _product([-1, 2], [-3, 1], [-5, 3])
+    assert _sturm_count(poly, F(1, 2), 3) == 2
+    assert _sturm_count(poly, 0, F(1, 2)) == 1
+    assert _sturm_count(poly, F(5, 3), F(29, 10)) == 0
+    assert _sturm_count(poly, F(-7, 3), F(5, 3)) == 2
+    assert _sturm_count(poly, 1, 10**6) == 2
+    # the double root 3/2 of (2s - 3)^2 (s + 4) counts once, and the zero of
+    # Q = (1 - s) K at the open end s = 1 does not count
+    assert _sturm_count(_product([-3, 2], [-3, 2], [4, 1]), 1, 2) == 1
+    assert _sturm_count(ClaimDistribution.geometric(F(1, 2)).rational_pgf[2], 1, 2) == 1
+
+
+def _outer_real_zeros(dist):
+    """Real zeros of Q in (1, inf) for E Z < 2, by numpy.roots on K = Q/(1 - s)."""
+    order, k = _deflate_at_one(dist.rational_pgf[2])
+    assert order == 1
+    zeros = np.roots(k[::-1]) if len(k) > 1 else np.array([])
+    return sorted(z.real for z in zeros if abs(z.imag) <= 1e-9 * abs(z) and z.real > 1)
+
+
+def _phi_bracket(dist, u_max):
+    """Exact rational ends (lo, hi) of phi(0..u_max), from the closed form at
+    the two ends of a 1024-bit bracket of alpha (alpha = 1 on the even
+    lattice): phi(u) is a Mobius map of alpha with no pole on alpha > 0."""
+    if dist.is_primitive():
+        mid, width, _state = roots._zero(dist.rational_pgf[2], (-1, 0, 0), 1024)
+        ends = [-1 / (mid - width / 2), -1 / (mid + width / 2)]
+    else:
+        ends = [F(1)]
+    tables = [reference_phi_table(dist, *initial_values_closed_form(dist, a), u_max) for a in ends]
+    return [(min(col), max(col)) for col in zip(*tables)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(dist=laws)
+@example(dist=ClaimDistribution.geometric(F(1, 2)))  # rho = golden ratio
+@example(dist=ClaimDistribution.even_lattice([F(1, 2), F(1, 4), F(1, 4)]))  # rho = sqrt 2
+@example(dist=ClaimDistribution.geometric(F(1000, 2999)))  # E Z = 1.999, rho near 1.0003
+@example(dist=ClaimDistribution.tabulated([F(2, 5), F(1, 5), F(1, 5), F(1, 5)]))
+@example(dist=ClaimDistribution.tabulated([F(3, 8), F(1, 4), F(3, 8)]))  # claims <= 2: none
+@example(dist=ClaimDistribution.bernoulli(F(1, 2)))  # none
+@example(dist=ClaimDistribution.geometric(F(1, 3)))  # E Z = 2: none
+def test_rho_lower_is_a_certified_lower_end(dist):
+    r = rho_lower(dist)
+    if dist.mean() >= 2:
+        assert r is None
+        return
+    outer = _outer_real_zeros(dist)
+    assert (r is None) == (not outer)
+    if r is None:
+        return
+    q = dist.rational_pgf[2]
+    assert r > 1 and _value(q, r.numerator, r.denominator) < 0
+    assert _sturm_count(q, 1, r) == 0
+    # r - 1 lies within the stated relative width below rho - 1
+    rho = outer[0]
+    assert float(r - 1) <= (rho - 1) * (1 + 1e-9)
+    assert float(r - 1) * (1 + roots._RHO_SLACK) >= (rho - 1) * (1 - 1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dist=laws.filter(lambda d: d.mean() < 2))
+# claims of at most 3: psi(u) = rho^(-u) for u >= 1, so an r above rho fails
+@example(dist=ClaimDistribution.tabulated([F(2, 5), F(1, 5), F(1, 5), F(1, 5)]))
+@example(dist=ClaimDistribution.tabulated([F(3, 5), 0, 0, F(2, 5)]))
+@example(dist=ClaimDistribution.geometric(F(1, 2)))
+@example(dist=ClaimDistribution.even_lattice([F(1, 2), F(1, 4), F(1, 4)]))
+def test_lundberg_bound_holds_exactly(dist):
+    # 1 - phi(u) <= r^(-u) for u <= 40, in exact rationals
+    r = rho_lower(dist)
+    if r is None:
+        return
+    for u, (phi_lo, _phi_hi) in enumerate(_phi_bracket(dist, 40)):
+        assert 1 - phi_lo <= r**-u, u
 
 
 @settings(max_examples=80, deadline=None)
