@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .distributions import ClaimDistribution, _series, _value
+from .distributions import ClaimDistribution, _numerators, _value
 from .recurrence import SequenceTable, _pattern_scan
 from .roots import RootProfile, _deflate_at_one
 
@@ -101,7 +101,7 @@ def compute_coefficients(dist: ClaimDistribution, roots: RootProfile) -> Asympto
 
     # f(1 - t) = f(1) - f'(1) t + ... for f = P and K, with K(1) != 0
     p_t, k_t = ([sum(f), -sum(j * c for j, c in enumerate(f))] for f in (p, k))
-    e0, e1 = (float(e) for e in _series(p_t, k_t, 1))
+    e0, e1 = (g / k_t[0] ** (n + 1) for n, g in zip((0, 1), _numerators(p_t, k_t)))
     c1, c2 = (e0, 0.0) if r == 1 else (e1, e0)
 
     return AsymptoticCoefficients(

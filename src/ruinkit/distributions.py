@@ -9,7 +9,9 @@ P = a, R = b - (b-a)s for geometric(a/b).  The construction record is read
 once, to build the pair (P, R) and Q = P - s^2 R (``rational_pgf``); the
 pmf prefixes, tail masses, p.g.f. values, the mean, and primitivity
 (whether any odd-index probability is positive) are all derived from the
-pair.
+pair.  One integer stream, ``_numerators``, steps every rational series of
+the package: h_k of P/R, P(Z > k) of U/R, and elsewhere x_n and phi(u) of
+P/Q, the Laurent constants at s = 1 and the oracles' float claim tables.
 
 Two construction invariants are enforced: h_0 > 0 (otherwise the model order
 can be reduced by shifting every claim down by one) and P(Z = 2) < 1 (the
@@ -18,10 +20,12 @@ degenerate law makes the surplus constant and the whole analysis trivial).
 from __future__ import annotations
 
 import math
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, zip_longest
+from itertools import accumulate, chain, islice, repeat, zip_longest
 
 from ._scalars import RationalLike, as_fraction, fraction_str
 
@@ -138,14 +142,16 @@ class ClaimDistribution:
 
     def hk(self, k: int) -> Fraction:
         """Exact probability h_k = P(Z = k), k >= 0."""
-        return self.pmf_prefix(k)[k]
+        return _coefficient(*self.rational_pgf[:2], k)
 
     def pmf_prefix(self, n: int) -> list[Fraction]:
-        """Exact rationals h_0..h_n (zero-padded beyond finite support)."""
+        """Exact rationals h_0..h_n (zero-padded beyond finite support), each
+        G_k / r_0^(k+1) off the stream of (P, R), reduced only when nonzero."""
         if n < 0:
             raise ValueError("prefix length must be non-negative")
         p, r, _q = self.rational_pgf
-        return _series(p, r, n)
+        stream = zip(range(n + 1), _numerators(p, r))
+        return [Fraction(g, r[0] ** (k + 1)) if g else Fraction(0) for k, g in stream]
 
     @property
     def support_bound(self) -> int | None:
@@ -155,8 +161,8 @@ class ClaimDistribution:
         return len(p) - 1 if len(r) == 1 else None
 
     def tail_mass(self, k: int) -> Fraction:
-        """Exact P(Z > k): coefficient k of U/R, where U = (R - P)/(1 - s)
-        holds the partial sums of R - P, a polynomial as R(1) = P(1).
+        """Exact P(Z > k), coefficient k of U/R off the stream of (U, R), where
+        U = (R - P)/(1 - s) sums R - P, a polynomial as R(1) = P(1).
 
         Past deg U a linear R leaves one pole: each step multiplies by
         theta = -r_1/r_0, so the tail there is one power, not a long series.
@@ -165,8 +171,8 @@ class ClaimDistribution:
         u = list(accumulate(a - b for a, b in zip_longest(r, p, fillvalue=0)))[:-1]
         top = len(u) - 1
         if k > top and len(r) == 2:
-            return _series(u, r, top)[top] * Fraction(-r[1], r[0]) ** (k - top)
-        return _series(u, r, k)[k]
+            return _coefficient(u, r, top) * Fraction(-r[1], r[0]) ** (k - top)
+        return _coefficient(u, r, k)
 
     def truncation_index(self, at_most: int | None = None) -> int:
         """Smallest K with P(Z > K) < TAIL_EPSILON; identity on finite support.
@@ -281,20 +287,36 @@ class ClaimDistribution:
         return self.label()
 
 
-def _series(num, den, n: int) -> list[Fraction]:
-    """Coefficients 0..n of num/den, for integer coefficient lists (lowest
-    degree first) with den[0] != 0: num_k/den_0 plus one Fraction product
-    per nonzero den_j, j >= 1, by the factor -den_j/den_0 formed once, so
-    each product reduces through gcds with a small integer on one side."""
-    factors = [(j, Fraction(-c, den[0])) for j, c in enumerate(den) if j and c]
-    out: list[Fraction] = []
-    for k in range(n + 1):
-        acc = Fraction(num[k], den[0]) if k < len(num) else None
-        for j, c in factors:
-            if j <= k:
-                acc = out[k - j] * c if acc is None else acc + out[k - j] * c
-        out.append(Fraction(0) if acc is None else acc)
-    return out
+def _numerators(num, den, c0: int = 1, c1: int = 0) -> Iterator[int]:
+    """F_n = c0 G_n + c1 G_{n+1}, n >= 0, with G_n = den_0^(n+1) [s^n](num/den)
+    for integer coefficient lists (lowest degree first) with den_0 != 0.
+
+    Scaling den_0 g_n = num_n - sum_k den_k g_{n-k} by den_0^n gives the
+    integer recurrence G_n = a_n - sum_k s_k G_{n-k}, with head
+    a_n = num_n den_0^n, steps s_k = den_k den_0^(k-1) and G_n = 0 for n < 0.
+    G_{n+1} follows the same steps from the head a_{n+1} - s_{n+1} a_0, so F
+    does too, from c0 a_n + c1 (a_{n+1} - s_{n+1} a_0): every entry costs
+    deg den small-by-big products, and only the last deg den values of F are
+    alive; on infinite support time stays quadratic in n, as den_0^(n+1) grows.
+    """
+    den0, width = den[0], len(den) - 1
+    n_head = max(len(num), width)
+    a = [v * den0**n for n, v in enumerate(num)] + [0] * (n_head + 1 - len(num))
+    s = [0] + [den[k] * den0 ** (k - 1) for k in range(1, len(den))] + [0] * (n_head + 1 - width)
+    head = [c0 * a[n] + c1 * (a[n + 1] - s[n + 1] * a[0]) for n in range(n_head)]
+    steps = [(k, c) for k, c in enumerate(s) if c]
+    last = deque([0] * width, maxlen=width)
+    for f in chain(head, repeat(0)):
+        for k, c in steps:
+            f -= c * last[-k]
+        yield f
+        last.append(f)
+
+
+def _coefficient(num, den, k: int) -> Fraction:
+    """[s^k](num/den) = G_k / den_0^(k+1) as one reduced Fraction."""
+    g = next(islice(_numerators(num, den), k, None))
+    return Fraction(g, den[0] ** (k + 1)) if g else Fraction(0)
 
 
 def _value(poly, num: int, den: int) -> int:

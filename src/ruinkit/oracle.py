@@ -44,7 +44,11 @@ value stops gathering rounding with N.  The DP is thus exact up to
 claim-tail truncation, float rounding, at most 2 * trims * _DROP_EPSILON of
 dropped mass, with trims <= N / _TRIM_EVERY, and at most (retired mass) *
 _DROP_EPSILON <= 2**-120 of retired mass that would still have been
-ruined: under 1e-27 for N up to 10**9.
+ruined: under 1e-27 for N up to 10**9.  Below truncation_index = cap + 1,
+the per-step ``truncation_tail`` = P(Z > truncation_index) counts as ruin:
+``value`` sits below the exact-law phi_N by at most (live mass summed over
+steps) * truncation_tail <= N * truncation_tail, and retired mass that a
+dropped claim may still ruin lifts it by at most N * truncation_tail.
 
 The Monte Carlo is bit-reproducible and partition-independent: claims for
 step j live on the Philox counter plane j << 128 under the run's key (the
@@ -84,7 +88,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .distributions import ClaimDistribution
+from .distributions import ClaimDistribution, _numerators
 from .roots import rho_lower
 
 if TYPE_CHECKING:
@@ -105,7 +109,7 @@ class DPResult:
     horizon: int
     surplus_cap: int
     cap_absorbed: float  # one-sided bound on the cap-policy overcount
-    truncation_tail: float  # pmf mass dropped by claim truncation
+    truncation_tail: float  # pmf mass dropped by claim truncation, per step
     truncation_index: int
 
 
@@ -145,7 +149,10 @@ def finite_horizon_dp(dist: ClaimDistribution, u: int, cfg: DPConfig) -> DPResul
     r <= rho, it is ruined later with probability at most 2**-120.  So the
     value is exact up to claim truncation, float rounding, at most
     2 * trims * _DROP_EPSILON of dropped mass, with trims <= N / _TRIM_EVERY,
-    and an overcount of at most (retired mass) * 2**-120 <= 2**-120.
+    and an overcount of at most (retired mass) * 2**-120 <= 2**-120.  Below
+    truncation_index = cap + 1, the per-step ``truncation_tail`` counts as
+    ruin: ``value`` sits below the exact-law phi_N by at most (live mass
+    summed over the steps) * truncation_tail <= N * truncation_tail.
     """
     if u < 0:
         raise ValueError("initial surplus must be non-negative")
@@ -159,7 +166,7 @@ def finite_horizon_dp(dist: ClaimDistribution, u: int, cfg: DPConfig) -> DPResul
 
     # claims beyond cap + 1 ruin every in-cap state; dropping them is exact
     k_top = dist.truncation_index(cap + 1)
-    hr = np.array([float(v) for v in reversed(dist.pmf_prefix(k_top))], dtype=np.float64)
+    hr = _claim_pmf(dist, k_top)[::-1].copy()
     reach = 2 * _TRIM_EVERY * (k_top + 1)
     lundberg = _lundberg_surplus(dist)
 
@@ -248,13 +255,21 @@ def _droppable(v: np.ndarray, reach: int) -> int:
         span *= 2
 
 
-def _claim_cdf(dist: ClaimDistribution, k_top: int) -> np.ndarray:
-    """P(Z <= k) for k = 0..k_top as floats."""
+def _claim_pmf(dist: ClaimDistribution, k_top: int) -> np.ndarray:
+    """float(h_k) = G_k / r_0^(k+1), k <= k_top: one correctly rounded int/int each."""
     import numpy as np
 
-    return np.cumsum(
-        np.array([float(v) for v in dist.pmf_prefix(k_top)], dtype=np.float64)
-    )
+    p, r, _q = dist.rational_pgf
+    out, scale = [], r[0]
+    for _k, g in zip(range(k_top + 1), _numerators(p, r)):
+        out.append(g / scale)
+        scale *= r[0]
+    return np.array(out, dtype=np.float64)
+
+
+def _claim_cdf(dist: ClaimDistribution, k_top: int) -> np.ndarray:
+    """P(Z <= k) for k = 0..k_top as floats: the cumsum of _claim_pmf."""
+    return _claim_pmf(dist, k_top).cumsum()
 
 
 #: bits of the uniform that pick a guide-table bucket (2**12 buckets)

@@ -14,10 +14,10 @@ A law is read only through its integer pair H = P/R
 (``ClaimDistribution.rational_pgf``).  With Q = P - s^2 R the sequence
 solves Q X = P, so one recurrence of order deg Q gives the integer
 numerators N_n = q_0^(n+1) x_n in O(n * deg Q) big-integer multiply-adds,
-whatever the support.  One generator, ``_numerators``, steps that
-recurrence for every caller: it yields N_n, or any integer combination
-c0 N_n + c1 N_{n+1} (the survival table's numerators), keeping only the
-last deg Q values.  A SequenceTable holds N with q_0 and r_0
+whatever the support.  The package's one integer stream,
+``distributions._numerators`` of (P, Q), steps that recurrence: it yields
+N_n, or any c0 N_n + c1 N_{n+1} (the survival table's numerators),
+keeping only the last deg Q values.  A SequenceTable holds N with q_0 and r_0
 (h_0 = q_0/r_0), and everything else is a quotient of integers:
 
     x_n = N_n / q_0^(n+1),   y_n = N_{n+1} / (r_0 q_0^(n+1)),
@@ -41,15 +41,13 @@ pattern but implements no acceleration.
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import islice
 
 from ._scalars import EXACT
-from .distributions import ClaimDistribution
+from .distributions import ClaimDistribution, _numerators
 
 @dataclass
 class SequenceTable:
@@ -111,33 +109,8 @@ def build_table(dist: ClaimDistribution, n_max: int, mode: str = EXACT) -> Seque
 
 def _integer_table(dist: ClaimDistribution, n_max: int) -> SequenceTable:
     """N_0..N_{n_max+1} off the one numerator stream, with q_0 and r_0."""
-    _p, r, q = dist.rational_pgf
-    return SequenceTable(dist, list(islice(_numerators(dist), n_max + 2)), q[0], r[0])
-
-
-def _numerators(dist: ClaimDistribution, c0: int = 1, c1: int = 0) -> Iterator[int]:
-    """F_n = c0 N_n + c1 N_{n+1} for n = 0, 1, ..., where N_n = q_0^(n+1) x_n.
-
-    Scaling q_0 x_n = p_n - sum_k q_k x_{n-k} by q_0^n gives the integer
-    recurrence N_n = a_n - sum_k s_k N_{n-k}, with head a_n = p_n q_0^n,
-    steps s_k = q_k q_0^(k-1) and N_n = 0 for n < 0.  N_{n+1} follows the
-    same steps from the head a_{n+1} - s_{n+1} a_0, so F does too, from
-    c0 a_n + c1 (a_{n+1} - s_{n+1} a_0): every entry costs deg Q small-by-big
-    products, and only the last deg Q values of F are alive.
-    """
-    p, _r, q = dist.rational_pgf
-    q0, width = q[0], len(q) - 1
-    n_head = max(len(p), width)
-    a = [v * q0**n for n, v in enumerate(p)] + [0] * (n_head + 1 - len(p))
-    s = [0] + [q[k] * q0 ** (k - 1) for k in range(1, len(q))] + [0] * (n_head + 1 - width)
-    head = [c0 * a[n] + c1 * (a[n + 1] - s[n + 1] * a[0]) for n in range(n_head)]
-    steps = [(k, c) for k, c in enumerate(s) if c]
-    last = deque([0] * width, maxlen=width)
-    for f in chain(head, repeat(0)):
-        for k, c in steps:
-            f -= c * last[-k]
-        yield f
-        last.append(f)
+    p, r, q = dist.rational_pgf
+    return SequenceTable(dist, list(islice(_numerators(p, q), n_max + 2)), q[0], r[0])
 
 
 @dataclass

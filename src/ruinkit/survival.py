@@ -42,8 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .distributions import ClaimDistribution
-from .recurrence import SequenceTable, _numerators, build_table
+from .distributions import ClaimDistribution, _numerators
+from .recurrence import SequenceTable, build_table
 from .roots import refine_alpha, root_profile
 
 SURVIVABLE = "survivable"
@@ -159,21 +159,21 @@ def phi_table(dist: ClaimDistribution, phi0, phi1, u_max: int) -> list[float]:
     with no gcd taken per entry; a value past the double range raises
     OverflowError.  The closed-form B and E share almost all their bits, so
     dividing over L rather than B E keeps every F_u about one alpha bracket
-    shorter.  ``recurrence._numerators`` yields F_u itself, keeping only its
-    last deg Q values.  The growing x_u, y_u cancel without noise at the
-    precision the initial values carry; for large u_max pass high-precision
-    rationals, as solve() does.
+    shorter.  ``distributions._numerators`` of (P, Q) yields F_u itself,
+    keeping only its last deg Q values.  The growing x_u, y_u cancel without
+    noise at the precision the initial values carry; for large u_max pass
+    high-precision rationals, as solve() does.
     """
     if u_max < 0:
         raise ValueError("u_max must be non-negative")
-    _p, r, q = dist.rational_pgf
+    p, r, q = dist.rational_pgf
     p0, p1 = Fraction(phi0), Fraction(phi1)
     g = math.gcd(p0.denominator, p1.denominator)
     c0 = p0.numerator * (p1.denominator // g) * r[0]
     c1 = p1.numerator * (p0.denominator // g)
     den = p0.denominator // g * p1.denominator * r[0] * q[0]
     out: list[float] = []
-    for f in islice(_numerators(dist, c0, c1), u_max + 1):
+    for f in islice(_numerators(p, q, c0, c1), u_max + 1):
         out.append(f / den)
         den *= q[0]
     return out

@@ -1,6 +1,7 @@
 """Finite-horizon DP and Monte Carlo: exactness, monotonicity, agreement."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,14 @@ from ruinkit.oracle import (
 )
 from ruinkit.roots import rho_lower
 
-from common import all_fixtures, enumerate_survival, laws, reference_dp, reference_survivors
+from common import (
+    all_fixtures,
+    enumerate_survival,
+    laws,
+    reference_dp,
+    reference_pmf,
+    reference_survivors,
+)
 
 F = Fraction
 
@@ -264,7 +272,11 @@ def test_philox_raw_word_is_generator_double():
          trials=1001, horizon=60, chunk=None)
 def test_simulate_block_matches_reference(dist, u, seed, trials, horizon, chunk):
     cfg = MCConfig(trials=trials, horizon=horizon, seed=seed)
-    cdf = _claim_cdf(dist, min(dist.truncation_index(), u + 2 * horizon + 1))
+    k_top = min(dist.truncation_index(), u + 2 * horizon + 1)
+    cdf = _claim_cdf(dist, k_top)
+    # the floats of the construction record's pmf, summed in order, bit for bit
+    want = np.cumsum([float(v) for v in reference_pmf(dist, k_top)])
+    assert cdf.tobytes() == want.tobytes()
     guide = _guide_table(cdf)
     step = trials if chunk is None else chunk
     lundberg = _lundberg_surplus(dist)
@@ -362,6 +374,21 @@ def test_oracles_cut_a_slowly_decaying_law_at_the_bound():
     assert res.truncation_index == 5
     assert res.truncation_tail == float(dist.tail_mass(5))
     assert mc_estimate(dist, 0, MCConfig(trials=1000, horizon=2)).estimate < 0.01
+
+
+def test_claim_cdf_builds_no_fraction_per_claim():
+    # one int/int division per claim off the integer stream of (P, R); with
+    # a reduced Fraction per claim, all alive at once, this peaked at 95 MB
+    dist = ClaimDistribution.geometric(F(1, 3000))
+    dist.rational_pgf  # the cached pair is built outside the trace
+    tracemalloc.start()
+    try:
+        cdf = _claim_cdf(dist, 8000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cdf) == 8001
+    assert peak < 8e6, peak
 
 
 def test_dp_retires_paths_out_of_reach_of_ruin():

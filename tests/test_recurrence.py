@@ -14,6 +14,7 @@ from ruinkit import (
     verify_sign_monotonicity,
 )
 from ruinkit import recurrence
+from ruinkit.distributions import _numerators
 
 from common import (
     all_fixtures,
@@ -137,21 +138,44 @@ def test_exact_table_matches_reference_recurrence(dist, n_max):
     assert t.d == d
 
 
+def _pq(dist):
+    p, _r, q = dist.rational_pgf
+    return p, q
+
+
+# (P, Q) and (P, R) of a law, and integer pairs with den_0 of either sign,
+# zero inner coefficients and num longer than den
+pairs = st.one_of(
+    laws.map(_pq),
+    laws.map(lambda dist: dist.rational_pgf[:2]),
+    st.tuples(
+        st.lists(st.integers(-40, 40), max_size=9),
+        st.lists(st.integers(-40, 40), min_size=1, max_size=5).filter(lambda den: den[0]),
+    ),
+)
+
+
 # geometric has len P = 1 < deg Q; pmf:1/7,0,0,6/7 has a zero inner q_k;
 # the even-lattice law has every odd q_k zero
-@settings(max_examples=60, deadline=None)
-@given(dist=laws, c0=st.integers(), c1=st.integers(), extra=st.integers(0, 30))
-@example(dist=ClaimDistribution.geometric(F(2, 7)), c0=3, c1=-5, extra=0)
-@example(dist=ClaimDistribution.tabulated([F(1, 7), 0, 0, F(6, 7)]), c0=0, c1=7, extra=0)
-@example(dist=ClaimDistribution.even_lattice([F(1, 2), F(1, 4), F(1, 4)]), c0=-2, c1=9, extra=0)
-def test_numerators_are_the_combination_of_reference_x(dist, c0, c1, extra):
-    p, _r, q = dist.rational_pgf
-    n = max(len(p), len(q) - 1) + 3 * (len(q) - 1) + extra
-    x = reference_table(dist, n + 1)[0]
-    big = [v * q[0] ** (k + 1) for k, v in enumerate(x)]  # N_k = q_0^(k+1) x_k
+@settings(max_examples=100, deadline=None)
+@given(pair=pairs, c0=st.integers(), c1=st.integers(), extra=st.integers(0, 30))
+@example(pair=_pq(ClaimDistribution.geometric(F(2, 7))), c0=3, c1=-5, extra=0)
+@example(pair=_pq(ClaimDistribution.tabulated([F(1, 7), 0, 0, F(6, 7)])), c0=0, c1=7, extra=0)
+@example(pair=_pq(ClaimDistribution.even_lattice([F(1, 2), F(1, 4), F(1, 4)])), c0=-2, c1=9,
+         extra=0)
+@example(pair=((3, 0, -2, 5, 0, 1), (-2, 0, 3)), c0=4, c1=-3, extra=0)
+def test_numerators_are_the_combination_of_reference_x(pair, c0, c1, extra):
+    num, den = pair
+    n = max(len(num), len(den) - 1) + 3 * (len(den) - 1) + extra
+
+    def padded(f):
+        return [F(v) for v in f] + [F(0)] * (n + 2 - len(f))
+
+    g = series_divide(padded(num), padded(den), n + 1)
+    big = [v * den[0] ** (k + 1) for k, v in enumerate(g)]  # G_k = den_0^(k+1) g_k
     assert all(v.denominator == 1 for v in big)
     want = [c0 * big[k] + c1 * big[k + 1] for k in range(n + 1)]
-    assert list(islice(recurrence._numerators(dist, c0, c1), n + 1)) == want
+    assert list(islice(_numerators(num, den, c0, c1), n + 1)) == want
 
 
 @settings(max_examples=60, deadline=None)
