@@ -210,8 +210,8 @@ def verify_sign_monotonicity(
 ) -> SignMonotonicityReport:
     """Scan D_n for the sign/monotonicity pattern and report stabilization.
 
-    The signs come from the integer scan that check_conjecture runs, over the
-    table's own numerators.
+    The signs come from the integer scan that check_conjecture runs, which
+    streams M_n off the table's own numerators and keeps no list of them.
     """
     strict = table.dist.is_primitive()
     last = (table.n_max - 4) // 2
@@ -219,7 +219,7 @@ def verify_sign_monotonicity(
         raise ValueError("table horizon too short: need D_0..D_3 at least")
     # pair n holds when the levels at 2n, 2n+1 and the steps from them do;
     # D_0 = 1 for every law, so the level at index 0 is compared non-strictly
-    level, step, _margins = _pattern_scan(table)
+    level, step, _margins = _pattern_scan(table.numerators, table.q0, table.r0)
 
     def fails(sign, strict_here):
         return sign <= 0 if strict_here else sign < 0

@@ -263,7 +263,7 @@ def _cmd_asympt(args) -> int:
     table = recurrence.build_table(dist, args.n + 2)
     pattern = asymptotics.verify_sign_monotonicity(table, coeffs)
     # D_n / D_{n-2} = M_n / (q_0^4 M_{n-2}): one int/int quotient, rounded once
-    ratio = table.m[args.n] / (table.q0**4 * table.m[args.n - 2])
+    ratio = table.minor(args.n) / (table.q0**4 * table.minor(args.n - 2))
     results = {
         "a": coeffs.a,
         "b": coeffs.b,

@@ -313,6 +313,13 @@ def _numerators(num, den, c0: int = 1, c1: int = 0) -> Iterator[int]:
         last.append(f)
 
 
+def _times_one_minus_s(poly) -> list[int]:
+    """The coefficients of (1 - s)·poly.  With den_0 unchanged, the stream of
+    (num, (1 - s)den) is the running sum C_k = den_0 C_{k-1} + G_k of the
+    stream G of (num, den)."""
+    return [a - b for a, b in zip([*poly, 0], [0, *poly])]
+
+
 def _coefficient(num, den, k: int) -> Fraction:
     """[s^k](num/den) = G_k / den_0^(k+1) as one reduced Fraction."""
     g = next(islice(_numerators(num, den), k, None))

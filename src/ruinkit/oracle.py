@@ -74,9 +74,11 @@ would draw from it, and its top _GUIDE_BITS bits pick a guide-table bucket
 directly; only the few buckets split by a cdf point fall back to the binary
 search.  Either way the claim is ``searchsorted(cdf, uniform, "right")``, so
 the draws are exactly those of stepping every trial with Generator uniforms
-and a full binary search.  Each draw follows the float cdf, which differs
-from the exact law's by its own rounding, a few ulps of 1 per point, and by
-the claim tail past its truncation index.
+and a full binary search.  Each draw follows the float cdf, whose every
+point is the exact P(Z <= k) rounded once, so it differs from the exact
+law's by at most half an ulp per point and by the claim tail past its
+truncation index.  A finite-support cdf ends at exactly 1.0, so no uniform
+draws a claim past the support.
 
 numpy is imported inside the functions that run the oracles, so the exact
 commands never load it.
@@ -88,7 +90,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .distributions import ClaimDistribution, _numerators
+from .distributions import ClaimDistribution, _numerators, _times_one_minus_s
 from .roots import rho_lower
 
 if TYPE_CHECKING:
@@ -255,21 +257,29 @@ def _droppable(v: np.ndarray, reach: int) -> int:
         span *= 2
 
 
-def _claim_pmf(dist: ClaimDistribution, k_top: int) -> np.ndarray:
-    """float(h_k) = G_k / r_0^(k+1), k <= k_top: one correctly rounded int/int each."""
+def _floats(num, den, k_top: int) -> np.ndarray:
+    """[s^k](num/den) = F_k / den_0^(k+1), k <= k_top, off the integer
+    stream: one correctly rounded int/int each."""
     import numpy as np
 
-    p, r, _q = dist.rational_pgf
-    out, scale = [], r[0]
-    for _k, g in zip(range(k_top + 1), _numerators(p, r)):
-        out.append(g / scale)
-        scale *= r[0]
+    out, scale = [], den[0]
+    for _k, f in zip(range(k_top + 1), _numerators(num, den)):
+        out.append(f / scale)
+        scale *= den[0]
     return np.array(out, dtype=np.float64)
 
 
+def _claim_pmf(dist: ClaimDistribution, k_top: int) -> np.ndarray:
+    """float(h_k) = G_k / r_0^(k+1), k <= k_top, G off the stream of (P, R)."""
+    p, r, _q = dist.rational_pgf
+    return _floats(p, r, k_top)
+
+
 def _claim_cdf(dist: ClaimDistribution, k_top: int) -> np.ndarray:
-    """P(Z <= k) for k = 0..k_top as floats: the cumsum of _claim_pmf."""
-    return _claim_pmf(dist, k_top).cumsum()
+    """float(P(Z <= k)), k <= k_top: C_k / r_0^(k+1), rounded once, where
+    the stream of (P, (1 - s)R) is the running sum C_k = r_0 C_{k-1} + G_k."""
+    p, r, _q = dist.rational_pgf
+    return _floats(p, _times_one_minus_s(r), k_top)
 
 
 #: bits of the uniform that pick a guide-table bucket (2**12 buckets)

@@ -25,7 +25,10 @@ keeping only the last deg Q values.  A SequenceTable holds N with q_0 and r_0
 
 Reduced Fractions, one gcd per entry, are formed only when a table's x, y
 or d lists are read.  The pattern check reads the M_n: as E_n > 0, every
-inequality of the pattern is the sign of an integer.
+inequality of the pattern is the sign of an integer.  It streams them,
+``_minors`` off any iterable of N_n, keeping three live N values, and the
+scan keeps M_{n-2}, M_{n-1} and its minima: a fixed number of live
+integers, not lists of every N_n and M_n (O(n^2) bits).
 
 D_n grows like alpha^n while being a difference of alpha^(2n)-sized products,
 so floating arithmetic would lose roughly one digit per unit of
@@ -41,6 +44,7 @@ pattern but implements no acceleration.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -69,9 +73,13 @@ class SequenceTable:
 
     @cached_property
     def m(self) -> list[int]:
-        """M_0..M_{N-1}: D_n = M_n / (r_0 q_0^(2n+3))."""
+        """M_0..M_{N-1}: D_n = M_n / (r_0 q_0^(2n+3)), the list of _minors."""
+        return list(_minors(self.numerators))
+
+    def minor(self, n: int) -> int:
+        """M_n alone, for a caller that reads a few indices."""
         big = self.numerators
-        return [big[n] * big[n + 2] - big[n + 1] ** 2 for n in range(self.n_max)]
+        return big[n] * big[n + 2] - big[n + 1] ** 2
 
     @cached_property
     def x(self) -> list[Fraction]:
@@ -142,11 +150,14 @@ class ConjectureReport:
 def check_conjecture(dist: ClaimDistribution, n_max: int) -> ConjectureReport:
     """Check the sign/monotonicity pattern of D_n for all n <= n_max.
 
-    The determinants are exact, so the verdict is certified.
+    The determinants are exact, so the verdict is certified.  The scan reads
+    M_0..M_{n_max} straight off the numerator stream N_0..N_{n_max+2}; no
+    table is built, and only a few integers are alive at any index.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    level, step, margins = _pattern_scan(_integer_table(dist, n_max + 1))
+    p, r, q = dist.rational_pgf
+    level, step, margins = _pattern_scan(islice(_numerators(p, q), n_max + 3), q[0], r[0])
     violations = [n for n, sign in enumerate(level) if sign < 0]
     violations += [n + 2 for n, sign in enumerate(step) if sign < 0]
     violation = min(violations) if violations else None
@@ -162,44 +173,78 @@ def check_conjecture(dist: ClaimDistribution, n_max: int) -> ConjectureReport:
     )
 
 
+def _minors(numerators: Iterable[int]) -> Iterator[int]:
+    """M_n = N_n N_{n+2} - N_{n+1}^2 for n >= 0 off N_0, N_1, ...: one
+    product pair per entry, with three N values alive."""
+    it = iter(numerators)
+    a, b = next(it, 0), next(it, 0)
+    for c in it:
+        yield a * c - b * b
+        a, b = b, c
+
+
 def _pattern_scan(
-    table: SequenceTable,
+    numerators: Iterable[int], q0: int, r0: int
 ) -> tuple[list[int], list[int], tuple[Fraction, Fraction, Fraction, Fraction]]:
-    """Slack of the determinant pattern at every index of the table's
-    D_0..D_top, top = n_max - 1.
+    """Slack of the determinant pattern at every index of D_0..D_top, with
+    M_0..M_top read off ``_minors(numerators)`` and q_0, r_0 of the stream.
 
     The level slack at n is D_n - 1 for even n and -1 - D_n for odd n; the
-    step slack at n <= top - 2 is D_{n+2} - D_n for even n and D_n - D_{n+2}
-    for odd n.  The pattern holds at an index whose slack is >= 0 (> 0 when
-    strict).  Returns the signs (-1, 0 or 1) of the level and step slacks,
-    and the tightest even-level, odd-level, even-step and odd-step slack as
-    Fractions (1 for a kind with no index).
+    step slack at n >= 2 is D_n - D_{n-2} for even n and D_{n-2} - D_n for
+    odd n.  The pattern holds at an index whose slack is >= 0 (> 0 when
+    strict).  Returns the signs (-1, 0 or 1) of the level slacks at 0..top
+    and of the step slacks at 2..top, and the tightest even-level,
+    odd-level, even-step and odd-step slack as Fractions (1 for a kind with
+    no index).
 
-    Everything runs on the table's integers: D_n = M_n / E_n with
-    E_n = r_0 q_0^(2n+3) > 0, so the level slack at n is (M_n - E_n) / E_n
-    or (-E_n - M_n) / E_n, and the step slack ending at n is
-    +-(M_n - q_0^4 M_{n-2}) / E_n, as E_n = q_0^4 E_{n-2}.  Minima are kept
-    as numerators over the current E_n.
+    Everything runs on integers: D_n = M_n / E_n with E_n = r_0 q_0^(2n+3)
+    > 0, and E_n = q_0^4 E_{n-2}.  With the sign of M_n flipped at odd n,
+    the level slack is (M_n - E_n) / E_n and the step slack
+    (M_n - q_0^4 M_{n-2}) / E_n at both parities.  The state of each parity
+    (its M_{n-2} and its level and step minima, as numerators over E of its
+    last index) swaps with the other's at every index, so the live integers
+    are those three N values, two M values, four minima and E_n.
     """
-    m_all, q2 = table.m, table.q0**2
-    e = table.r0 * table.q0**3
+    q2 = q0 * q0
     q4 = q2 * q2
+    e = r0 * q0 * q2
     level: list[int] = []
     step: list[int] = []
-    best: list[int | None] = [None] * 4
-    for n, m in enumerate(m_all):
-        odd = n % 2
-        slacks = [(odd, level, -e - m if odd else m - e)]
-        if n >= 2:
-            rise = m - q4 * m_all[n - 2]
-            slacks.append((2 + odd, step, -rise if odd else rise))
-        for kind, signs, v in slacks:
-            signs.append((v > 0) - (v < 0))
-            if best[kind] is None or v < best[kind]:
-                best[kind] = v
-        # move every minimum to the scale E_{n+1} of the next index
-        best = [None if b is None else b * q2 for b in best]
+    # (this parity, the other): flipped M_{n-2}, M_{n-1}, and the minima
+    back = ahead = None
+    low = low_next = rise = rise_next = None
+    odd = False
+    for m in _minors(numerators):
+        if odd:
+            m = -m
+        v = m - e
+        level.append((v > 0) - (v < 0))
+        if low is None:
+            low = v
+        else:
+            low *= q4
+            if v < low:
+                low = v
+        if back is not None:
+            v = m - q4 * back
+            step.append((v > 0) - (v < 0))
+            if rise is None:
+                rise = v
+            else:
+                rise *= q4
+                if v < rise:
+                    rise = v
+        back, ahead = ahead, m
+        low, low_next = low_next, low
+        rise, rise_next = rise_next, rise
         e *= q2
-    margins = tuple(Fraction(1) if b is None else Fraction(b, e) for b in best)
-    return level, step, margins
-
+        odd = not odd
+    # e is now E_{top+1}: top's parity (the *_next slots) sits over
+    # E_top = e / q_0^2 and the other parity over E_{top-1} = e / q_0^4
+    top_level, other_level, top_step, other_step = (
+        Fraction(1) if b is None else Fraction(b * scale, e)
+        for b, scale in ((low_next, q2), (low, q4), (rise_next, q2), (rise, q4))
+    )
+    if odd:  # top is even
+        return level, step, (top_level, other_level, top_step, other_step)
+    return level, step, (other_level, top_level, other_step, top_step)

@@ -125,7 +125,7 @@ def initial_values_limit(table: SequenceTable, n: int) -> LimitEstimate:
     big, q0 = table.numerators, table.q0
 
     def estimates(k: int) -> tuple[float, float]:
-        mk = table.m[k]
+        mk = table.minor(k)
         if mk == 0:
             raise ValueError(f"determinant vanishes at n={k}; pick another index")
         scale = q0 ** (k + 1)

@@ -136,6 +136,17 @@ def reference_table(dist, n_max):
     return x, y, d
 
 
+def reference_minors(dist, n):
+    """M_0..M_{n-1} by the product formula N_k N_{k+2} - N_{k+1}^2 on the
+    integers N_k = q_0^(k+1) x_k, with x from reference_table."""
+    q0 = dist.rational_pgf[2][0]
+    x = reference_table(dist, n + 1)[0][: n + 2]
+    scaled = [v * q0 ** (k + 1) for k, v in enumerate(x)]
+    assert all(v.denominator == 1 for v in scaled)
+    big = [v.numerator for v in scaled]
+    return [big[k] * big[k + 2] - big[k + 1] ** 2 for k in range(n)]
+
+
 def reference_limit(x, y, d, n):
     """The ratio route at index n on reduced-Fraction tables: the floats of
     (y_{n+1} - y_n)/D_n and (x_n - x_{n+1})/D_n."""

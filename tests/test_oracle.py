@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -256,8 +257,9 @@ def test_philox_raw_word_is_generator_double():
 @example(dist=ClaimDistribution.geometric(F(1, 2)), u=0, seed=0, trials=1999, horizon=60, chunk=None)
 @example(dist=ClaimDistribution.geometric(F(1, 3)), u=1, seed=5, trials=1001, horizon=60, chunk=4)
 @example(dist=ClaimDistribution.geometric(F(2, 5)), u=2, seed=7, trials=1999, horizon=60, chunk=64)
-# largest claims 3 (the float cdf ends at 1 - 2**-53, below 1), 2 and 1:
-# trials retire as survivors once they are out of reach of ruin
+# largest claims 2 (the float cumsum of this pmf ends at 1 - 2**-53, its
+# rounded exact sums at 1), 2 and 1: trials retire as survivors once they
+# are out of reach of ruin
 @example(dist=ClaimDistribution.tabulated([F(2, 23), F(16, 23), F(5, 23)]), u=0, seed=0,
          trials=1999, horizon=60, chunk=None)
 @example(dist=ClaimDistribution.tabulated([F(3, 8), F(1, 4), F(3, 8)]), u=0, seed=2,
@@ -274,8 +276,8 @@ def test_simulate_block_matches_reference(dist, u, seed, trials, horizon, chunk)
     cfg = MCConfig(trials=trials, horizon=horizon, seed=seed)
     k_top = min(dist.truncation_index(), u + 2 * horizon + 1)
     cdf = _claim_cdf(dist, k_top)
-    # the floats of the construction record's pmf, summed in order, bit for bit
-    want = np.cumsum([float(v) for v in reference_pmf(dist, k_top)])
+    # the construction record's pmf summed exactly, each sum rounded once
+    want = np.array([float(c) for c in accumulate(reference_pmf(dist, k_top))])
     assert cdf.tobytes() == want.tobytes()
     guide = _guide_table(cdf)
     step = trials if chunk is None else chunk
@@ -309,15 +311,22 @@ def test_mc_cut_cdf_keeps_the_survivors(u, horizon, seed, trials):
 @pytest.mark.parametrize(
     "dist, drop, horizon",
     [
-        # the float cdf ends at 1 - 2**-53, so the uniform 1 - 2**-53 draws 3
-        (ClaimDistribution.tabulated([F(2, 23), F(16, 23), F(5, 23)]), 1, 30),
+        # its cdf ends at exactly 1, so the uniform 1 - 2**-53 draws 2, not 3
+        (ClaimDistribution.tabulated([F(2, 23), F(16, 23), F(5, 23)]), 0, 30),
         (ClaimDistribution.tabulated([F(3, 8), F(1, 4), F(3, 8)]), 0, 30),
+        (ClaimDistribution.tabulated([F(2, 5), F(1, 5), F(1, 5), F(1, 5)]), 1, 30),
         # D·N + 1 = 154 lies below W* = 174
         (ClaimDistribution.geometric(F(1, 2)), 51, 3),
         # W* binds: u = W* and W* - 1
         (ClaimDistribution.geometric(F(1, 2)), 51, 30),
     ],
-    ids=["pmf:2/23,16/23,5/23", "pmf:3/8,1/4,3/8", "geometric(1/2)", "geometric(1/2)-lundberg"],
+    ids=[
+        "pmf:2/23,16/23,5/23",
+        "pmf:3/8,1/4,3/8",
+        "pmf:2/5,1/5,1/5,1/5",
+        "geometric(1/2)",
+        "geometric(1/2)-lundberg",
+    ],
 )
 def test_simulate_block_draws_nothing_past_the_bound(monkeypatch, dist, drop, horizon):
     # a start u at the retirement bound, min(max(drop·N, drop) + 1, W*), is

@@ -3,6 +3,8 @@
 from fractions import Fraction
 from itertools import islice
 
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from common import (
     naive_chain,
     pgf_minus_s2_series,
     pgf_series,
+    reference_minors,
     reference_table,
     series_divide,
 )
@@ -233,26 +236,29 @@ def test_pattern_scan_matches_naive_chain(dist, n):
 )
 def test_pattern_scan_reports_corrupted_determinants(dist, monkeypatch):
     # D_10 is pushed just below D_8 (an even step violation) and D_23 turns
-    # positive (an odd level violation and two odd step violations)
+    # positive (an odd level violation and two odd step violations), in the
+    # M stream that check_conjecture and verify_sign_monotonicity both read
     n = 40
-    real = recurrence._integer_table
+    real = recurrence._minors
+    q4 = dist.rational_pgf[2][0] ** 4
 
-    def corrupted(law, n_max):
-        table = real(law, n_max)
-        m = list(table.m)
-        m[10] = table.q0**4 * m[8] - 1
-        m[23] = -m[23]
-        table.m = m
-        return table
+    def corrupted(numerators):
+        for k, m in enumerate(real(numerators)):
+            if k == 8:
+                m8 = m
+            elif k == 10:
+                m = q4 * m8 - 1
+            elif k == 23:
+                m = -m
+            yield m
 
-    table = real(dist, n + 1)
+    table = build_table(dist, n + 1)
     e0, q2 = table.r0 * table.q0**3, table.q0**2
-    assert [F(v, e0 * q2**k) for k, v in enumerate(table.m)] == build_table(dist, n + 1).d
-    monkeypatch.setattr(recurrence, "_integer_table", corrupted)
-    m = corrupted(dist, n + 1).m
-    d = [F(v, e0 * q2**k) for k, v in enumerate(m)]
+    assert [F(v, e0 * q2**k) for k, v in enumerate(table.m)] == table.d
+    d = [F(v, e0 * q2**k) for k, v in enumerate(corrupted(table.numerators))]
     violation, margins, failures = naive_chain(d, strict=dist.is_primitive())
     assert violation == 10 and min(margins) < 0
+    monkeypatch.setattr(recurrence, "_minors", corrupted)
     report = check_conjecture(dist, n)
     assert not report.holds
     assert report.violation_index == violation
@@ -265,3 +271,56 @@ def test_pattern_scan_reports_corrupted_determinants(dist, monkeypatch):
     pattern = verify_sign_monotonicity(build_table(dist, n + 1))
     assert pattern.failures == tuple(failures)
     assert {4, 11} <= set(failures)
+
+
+NINE_POINT = ClaimDistribution.tabulated(
+    [F(1, 2), F(5, 22), F(1, 11), F(1, 11), 0, 0, 0, F(1, 22), F(1, 22)]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dist=laws, n=st.integers(0, 60))
+@example(dist=ClaimDistribution.tabulated([F(1, 7), 0, 0, F(6, 7)]), n=60)  # E Z = 18/7
+@example(dist=ClaimDistribution.even_lattice([F(1, 3), F(1, 3), F(1, 3)]), n=60)
+@example(dist=ClaimDistribution.bernoulli(F(1, 3)), n=60)  # deg Q = 2
+@example(dist=ClaimDistribution.tabulated([F(1, 3)] * 3), n=60)  # deg Q = 2
+@example(dist=ClaimDistribution.geometric(F(2, 7)), n=60)
+@example(dist=NINE_POINT, n=3)  # the scan ends before len P = 9
+def test_minors_stream_matches_product_formula(dist, n):
+    want = reference_minors(dist, n)
+    p, r, q = dist.rational_pgf
+    assert list(recurrence._minors(islice(_numerators(p, q), n + 2))) == want
+    if n >= 2:
+        table = build_table(dist, n)
+        assert table.m == want
+        assert [table.minor(k) for k in range(n)] == want
+        # the scan over the truncated stream is check_conjecture's at n - 1
+        scan = recurrence._pattern_scan(islice(_numerators(p, q), n + 2), q[0], r[0])
+        report = check_conjecture(dist, n - 1)
+        margins = (
+            report.even_level_margin,
+            report.odd_level_margin,
+            report.even_step_margin,
+            report.odd_step_margin,
+        )
+        assert len(scan[0]) == n and scan[2] == margins
+
+
+def test_minors_need_three_numerators():
+    assert list(recurrence._minors([])) == []
+    assert list(recurrence._minors([5, 7])) == []
+    assert list(recurrence._minors(iter([2, 3, 5, 8]))) == [2 * 5 - 9, 3 * 8 - 25]
+
+
+def test_check_conjecture_keeps_no_list_of_determinants():
+    # the scan reads M_n off the numerator stream with a few live integers;
+    # lists of every N_n and M_n to n = 3000 peaked at 7.0 MB
+    NINE_POINT.rational_pgf  # the cached pair is built outside the trace
+    tracemalloc.start()
+    try:
+        report = check_conjecture(NINE_POINT, 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.holds
+    assert peak < 1e6, peak
