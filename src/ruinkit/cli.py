@@ -20,6 +20,8 @@ import math
 import re
 import sys
 from fractions import Fraction
+from itertools import zip_longest
+from operator import add
 from pathlib import Path
 
 # the builtin SHA-256: importing hashlib maps OpenSSL, +3.6 MB resident
@@ -339,10 +341,61 @@ def _verify_fixtures() -> list[ClaimDistribution]:
     ]
 
 
-def _times(den: list, seq: list) -> list:
-    """The product den·seq through the order of den, skipping den's zeros."""
-    terms = [(j, c) for j, c in enumerate(den) if c]
-    return [sum(c * seq[n - j] for j, c in terms if j <= n) for n in range(len(den))]
+#: verify checks its series identities through order _N_ID
+_N_ID = 60
+
+
+def _times(poly, seq, n: int) -> list:
+    """Coefficients 0..n-1 of poly·seq, for a short polynomial poly and at
+    least n entries of seq: one pass over seq per nonzero coefficient."""
+    out = [0] * n
+    for j, c in enumerate(poly[:n]):
+        if c:
+            out[j:] = map(add, out[j:], [c * v for v in seq[: n - j]])
+    return out
+
+
+def _head(poly, n: int) -> list:
+    """Coefficients 0..n-1 of a polynomial, zero-padded."""
+    return list(poly[:n]) + [0] * (n - len(poly))
+
+
+def _identity_checks(dist: ClaimDistribution, table, g: list) -> dict:
+    """verify's checks of x_0..x_60 and y_0..y_60 in ``table`` (of horizon
+    62) and of g_0..g_60 in ``g`` against the law's pair (P, R), with the
+    parity monotonicity of x on the same scaled table.
+
+    X, Y and G are defined by (H - s^2)X = H, (H - s^2)Y = h_0 s and
+    (1 - s)G = H - s^2.  Multiplied by R they read Q X = P, Q Y = h_0 s R
+    and (1 - s)R G = Q, with Q = P - s^2 R; as R(0) = r_0 != 0, R is a
+    unit of the power series, so each holds through order 60 exactly when
+    the form in H does, and a truncated table satisfies it exactly when it
+    is the series quotient.  Q is formed here from P and R, not read from
+    rational_pgf, which built the table.  Both sides are scaled to
+    integers: the table by S = q_0^62, so xs[n] = S x_n and xs[n+1] =
+    r_0 S y_n / q_0 with h_0 = q_0/r_0, and G by the lcm L of its
+    denominators, each entry rescaled exactly.  Every check is then a
+    product with a short integer polynomial: Q or (1 - s)R.
+    """
+    n = _N_ID + 1
+    p, r, _q = dist.rational_pgf
+    q = [a - b for a, b in zip_longest(p, [0, 0, *r], fillvalue=0)]
+    q0, scale = table.q0, table.q0 ** (_N_ID + 2)
+    xs = [v * q0 ** (_N_ID + 1 - k) for k, v in enumerate(table.numerators[: _N_ID + 2])]
+    lcm = math.lcm(*(v.denominator for v in g))
+    lg = [v.numerator * (lcm // v.denominator) for v in g]
+    one_minus_s_r = [a - b for a, b in zip([*r, 0], [0, *r])]
+    return {
+        # y read against h_0 s rather than through y_n = h_0 x_{n+1}
+        "y_identity": _times(q, xs[1:], n) == [0] + [scale * c for c in _head(r, n - 1)],
+        "parity_monotone": all(
+            xs[2 * k] >= scale and xs[2 * k + 2] >= xs[2 * k] for k in range(_N_ID // 2)
+        ) and all(
+            xs[2 * k + 1] <= 0 and xs[2 * k + 3] <= xs[2 * k + 1] for k in range(_N_ID // 2 - 1)
+        ),
+        "series_matches_recurrence": _times(q, xs, n) == [scale * c for c in _head(p, n)],
+        "deflation_identity": _times(one_minus_s_r, lg, n) == [lcm * c for c in _head(q, n)],
+    }
 
 
 def _verify_one(dist: ClaimDistribution, horizon: int) -> dict:
@@ -350,30 +403,11 @@ def _verify_one(dist: ClaimDistribution, horizon: int) -> dict:
     conj = recurrence.check_conjecture(dist, horizon)
     checks["conjecture"] = conj.holds
 
-    # X and Y are defined by (H - s^2)X = H and (H - s^2)Y = h_0 s; as
-    # h_0 != 0, a truncated table satisfies them exactly when it is the
-    # series quotient.  H is the law's pmf, read from the same pair (P, R)
-    # as the recurrence; the distributions tests tie that pair to the law.
-    # Both sides are scaled to integers: H by the lcm L of its denominators,
-    # the table by S = q_0^(n_id+2): xs[n] = S x_n and xs[n+1] = r_0 S y_n / q_0.
-    n_id = 60
-    table = recurrence.build_table(dist, n_id + 2)
-    h = dist.pmf_prefix(n_id)
-    lcm = math.lcm(*(v.denominator for v in h))
-    lh = [v.numerator * (lcm // v.denominator) for v in h]
-    den = lh[:2] + [lh[2] - lcm] + lh[3:]
-    q0, scale = table.q0, table.q0 ** (n_id + 2)
-    xs = [v * q0 ** (n_id + 1 - n) for n, v in enumerate(table.numerators[: n_id + 2])]
-    # y read against h_0 s rather than through y_n = h_0 x_{n+1}
-    y_rhs = [0, lh[0] * table.r0 * q0 ** (n_id + 1)] + [0] * (n_id - 1)
-    checks["y_identity"] = _times(den, xs[1:]) == y_rhs
-    checks["parity_monotone"] = all(
-        xs[2 * n] >= scale and xs[2 * n + 2] >= xs[2 * n] for n in range(n_id // 2)
-    ) and all(xs[2 * n + 1] <= 0 and xs[2 * n + 3] <= xs[2 * n + 1] for n in range(n_id // 2 - 1))
-    checks["series_matches_recurrence"] = _times(den, xs) == [v * scale for v in lh]
-    # (1 - s)G = H - s^2, coefficient by coefficient
-    g = series.deflate_G(dist, n_id)
-    checks["deflation_identity"] = [lcm * (b - a) for a, b in zip([0] + g, g)] == den
+    # x, y and G through order 60, multiplied back on the law's pair
+    # (P, R) (see _identity_checks); the distributions tests tie that pair
+    # to each construction record
+    table = recurrence.build_table(dist, _N_ID + 2)
+    checks.update(_identity_checks(dist, table, series.deflate_G(dist, _N_ID)))
 
     if dist.is_primitive():
         profile = roots.root_profile(dist)

@@ -3,7 +3,8 @@
 The generating functions of the model are ratios of series whose denominator
 H(s) - s^2 has constant term h_0 > 0.  Nothing here divides: the recurrence
 module computes the quotients, and ``verify`` checks them by multiplying
-back through H - s^2.  What is left is the deflation of the root at s = 1.
+back through Q = P - s^2 R, which is H - s^2 times R.  What is left is the
+deflation of the root at s = 1.
 """
 
 from __future__ import annotations

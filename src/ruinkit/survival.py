@@ -20,8 +20,9 @@ produced here by three mutually checking routes:
   table shifted by one, at the same rational alpha.  What the route adds is
   the check phi(0) = h_1 phi(1) + h_0 phi(2) of the survival recursion at
   u = 0; ``verify`` checks the x series itself by multiplying it back
-  through H - s^2.  solve() skips it on the even lattice, whose report
-  format has no xi.
+  through Q = P - s^2 R on the law's pair H = P/R (Q X = P holds exactly
+  when (H - s^2)X = H does, as R(0) != 0).  solve() skips it on the even
+  lattice, whose report format has no xi.
 
 The full table follows from phi(u) = x_u phi(0) + y_u phi(1), which holds
 for every law with h_0 > 0, even-lattice laws included: there it gives
@@ -202,12 +203,18 @@ def pi_values(dist: ClaimDistribution, alpha=None) -> tuple[float, float]:
     if alpha is None:
         alpha = _exact_alpha(dist)
     phi1 = initial_values_closed_form(dist, alpha)[1]
+    return _pi(phi1, alpha, 2 - mean, dist.hk(0), dist.hk(1))
+
+
+def _pi(phi1, alpha, rate, h0, h1) -> tuple[float, float]:
+    """pi_values' body, from the closed-form phi(1) and the alpha, 2 - EZ,
+    h_0 and h_1 it was formed from."""
     pi0 = float(phi1)
-    pi1 = float(phi1 * (alpha - 1 - dist.hk(1) / dist.hk(0)))
-    h0 = float(dist.hk(0))
-    h1 = float(dist.hk(1))
+    pi1 = float(phi1 * (alpha - 1 - h1 / h0))
+    h0 = float(h0)
+    h1 = float(h1)
     alpha = float(alpha)
-    rate = float(2 - mean)
+    rate = float(rate)
     res1 = abs((2.0 * h0 + h1) * pi0 + h0 * pi1 - rate)
     res2 = abs(pi0 * (h0 + h1 - h0 * alpha) + pi1 * h0)
     if max(res1, res2) > 1e-12:
@@ -265,6 +272,8 @@ def solve(
     want_xi = route in (ROUTE_XI, ROUTE_ALL)
     diagnostics: dict = {"regime": reg, "routes": {}}
     xi = None
+    # one h_0, h_1 for pi and the xi route's recursion
+    h0, h1 = dist.hk(0), dist.hk(1)
 
     if reg != SURVIVABLE:
         diagnostics["note"] = (
@@ -291,7 +300,7 @@ def solve(
             diagnostics["pi_source"] = "half-process table differences"
         p0_rat, p1_rat = initial_values_closed_form(dist, alpha)
         phi0, phi1 = float(p0_rat), float(p1_rat)
-        pi0, pi1 = pi_values(dist, alpha)
+        pi0, pi1 = _pi(p1_rat, alpha, 2 - dist.mean(), h0, h1)
         # one table through phi(u_max + 1) also serves the xi route,
         # xi_u = phi(u + 1)
         ext = phi_table(dist, p0_rat, p1_rat, u_max + 1)
@@ -321,7 +330,7 @@ def solve(
         # phi(0) = h_1 phi(1) + h_0 phi(2)
         values1.append(xi[0])
         if len(xi) > 1:
-            values0.append(float(dist.hk(1)) * xi[0] + float(dist.hk(0)) * xi[1])
+            values0.append(float(h1) * xi[0] + float(h0) * xi[1])
     diagnostics["max_route_delta"] = max(max(v) - min(v) for v in (values0, values1))
 
     method = {

@@ -171,6 +171,27 @@ def pgf_minus_s2_series(dist, n_max):
     return coeffs
 
 
+def dense_times(a, b, n):
+    """Coefficients 0..n-1 of a·b, every term of both multiplied."""
+    return [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(n)]
+
+
+def reference_identity_checks(dist, table, g, n_id=60):
+    """verify's three series identities, densely on the pmf prefix:
+    (H - s^2)X = H, (H - s^2)Y = h_0 s and (1 - s)G = H - s^2 through order
+    n_id, with the table's x_n and y_n and the entries of g as reduced
+    Fractions."""
+    n = n_id + 1
+    h = dist.pmf_prefix(n_id)
+    den = pgf_minus_s2_series(dist, n_id)
+    y_rhs = [Fraction(0), h[0]] + [Fraction(0)] * (n - 2)
+    return {
+        "y_identity": dense_times(den, table.y, n) == y_rhs,
+        "series_matches_recurrence": dense_times(den, table.x, n) == h,
+        "deflation_identity": dense_times([1, -1] + [0] * n_id, g, n) == den,
+    }
+
+
 def series_divide(numerator, denominator, n_max):
     """Quotient q with denominator*q = numerator through order n_max, by the
     forward recurrence q_n = (a_n - sum_{j=1..n} b_j q_{n-j}) / b_0 in

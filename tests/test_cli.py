@@ -16,10 +16,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ruinkit import ClaimDistribution, build_table, cli
+from ruinkit import ClaimDistribution, build_table, cli, deflate_G
 from ruinkit.distributions import DistributionError
+from ruinkit.recurrence import SequenceTable
 
-from common import all_fixtures, laws, reference_ratio, reference_render
+from common import (
+    all_fixtures,
+    laws,
+    reference_identity_checks,
+    reference_ratio,
+    reference_render,
+)
 
 
 def run(capsys, argv):
@@ -403,3 +410,84 @@ def test_verify_flags_broken_identities(capsys, monkeypatch):
         for label, checks in results["fixtures"].items():
             assert checks[check] is False, (label, check)
             assert f"{label}:{check}" in results["breaches"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dist=laws,
+    index=st.integers(0, 61),
+    delta=st.integers(-3, 3).filter(bool),
+    den=st.integers(1, 9),
+)
+@example(dist=ClaimDistribution.even_lattice(["1/2", "1/4", "1/4"]), index=61, delta=1, den=1)
+@example(dist=ClaimDistribution.tabulated(["1/7", "0", "0", "6/7"]), index=60, delta=-1, den=7)
+@example(dist=ClaimDistribution.geometric("1/3"), index=0, delta=1, den=3)
+@example(dist=ClaimDistribution.tabulated(["1/2", "1/4", "1/4"]), index=37, delta=2, den=2)
+def test_pair_identities_match_dense_reference(dist, index, delta, den):
+    # verify's checks on the pair (P, R) give the verdicts of the dense
+    # (H - s^2)X = H products on the pmf prefix, on honest tables and on
+    # tables with one numerator bumped or one entry of G moved
+    table = build_table(dist, 62)
+    g = deflate_G(dist, 60)
+    got = cli._identity_checks(dist, table, g)
+    want = reference_identity_checks(dist, table, g)
+    assert want == dict.fromkeys(want, True)
+    assert {k: got[k] for k in want} == want
+
+    numerators = list(table.numerators)
+    numerators[index] += delta
+    bumped = SequenceTable(dist, numerators, table.q0, table.r0)
+    moved = list(g)
+    moved[min(index, 60)] += Fraction(delta, den)
+    for t, gt in ((bumped, g), (table, moved)):
+        got = cli._identity_checks(dist, t, gt)
+        want = reference_identity_checks(dist, t, gt)
+        assert not all(want.values())
+        assert {k: got[k] for k in want} == want
+
+
+def test_verify_flags_g_off_the_denominators_of_the_law(capsys, monkeypatch):
+    # g_k is an integer over r_0^(k+1); an entry over 7, with 7 not dividing
+    # any fixture's r_0, must breach, also when the change is below
+    # 1/r_0^61, where rescaling by a floor division would drop it
+    from ruinkit import series
+
+    assert all(d.rational_pgf[1][0] % 7 for d in all_fixtures())
+    original = series.deflate_G
+
+    for change in (lambda r0: Fraction(1, 7), lambda r0: Fraction(1, 7 * r0**62)):
+
+        def foreign(dist, n_max):
+            g = original(dist, n_max)
+            g[30] += change(dist.rational_pgf[1][0])
+            return g
+
+        with monkeypatch.context() as patch:
+            patch.setattr(series, "deflate_G", foreign)
+            code, out = run(capsys, ["verify", "--n", "20"])
+        assert code == 2
+        fixtures = json.loads(out)["results"]["fixtures"]
+        assert len(fixtures) == 11
+        for label, checks in fixtures.items():
+            assert checks["deflation_identity"] is False, label
+            assert checks["series_matches_recurrence"] and checks["y_identity"], label
+
+
+def test_verify_forms_q_from_p_and_r(monkeypatch):
+    # a wrong Q in rational_pgf builds a table that solves Q X = P for that
+    # Q; verify forms P - s^2 R itself, so the table breaches
+    original = ClaimDistribution.__dict__["rational_pgf"].func
+
+    def wrong_q(self):
+        p, r, q = original(self)
+        return p, r, (q[0], q[1] + 1, *q[2:])
+
+    for dist in all_fixtures():
+        honest = cli._identity_checks(dist, build_table(dist, 62), deflate_G(dist, 60))
+        assert honest["series_matches_recurrence"] is True
+        with monkeypatch.context() as patch:
+            patch.setattr(ClaimDistribution, "rational_pgf", property(wrong_q))
+            table, g = build_table(dist, 62), deflate_G(dist, 60)
+            assert dist.rational_pgf[2] != original(dist)[2]
+            checks = cli._identity_checks(dist, table, g)
+        assert checks["series_matches_recurrence"] is False, dist.label()
