@@ -16,12 +16,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import re
 import sys
 from fractions import Fraction
-from itertools import zip_longest
-from operator import add
 from pathlib import Path
 
 # the builtin SHA-256: importing hashlib maps OpenSSL, +3.6 MB resident
@@ -321,7 +318,8 @@ def _cmd_simulate(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify: the fixture x route matrix
+# verify: the fixture x route matrix; the series identities it multiplies
+# back are series.identity_checks
 
 def _verify_fixtures() -> list[ClaimDistribution]:
     return [
@@ -341,73 +339,16 @@ def _verify_fixtures() -> list[ClaimDistribution]:
     ]
 
 
-#: verify checks its series identities through order _N_ID
-_N_ID = 60
-
-
-def _times(poly, seq, n: int) -> list:
-    """Coefficients 0..n-1 of poly·seq, for a short polynomial poly and at
-    least n entries of seq: one pass over seq per nonzero coefficient."""
-    out = [0] * n
-    for j, c in enumerate(poly[:n]):
-        if c:
-            out[j:] = map(add, out[j:], [c * v for v in seq[: n - j]])
-    return out
-
-
-def _head(poly, n: int) -> list:
-    """Coefficients 0..n-1 of a polynomial, zero-padded."""
-    return list(poly[:n]) + [0] * (n - len(poly))
-
-
-def _identity_checks(dist: ClaimDistribution, table, g: list) -> dict:
-    """verify's checks of x_0..x_60 and y_0..y_60 in ``table`` (of horizon
-    62) and of g_0..g_60 in ``g`` against the law's pair (P, R), with the
-    parity monotonicity of x on the same scaled table.
-
-    X, Y and G are defined by (H - s^2)X = H, (H - s^2)Y = h_0 s and
-    (1 - s)G = H - s^2.  Multiplied by R they read Q X = P, Q Y = h_0 s R
-    and (1 - s)R G = Q, with Q = P - s^2 R; as R(0) = r_0 != 0, R is a
-    unit of the power series, so each holds through order 60 exactly when
-    the form in H does, and a truncated table satisfies it exactly when it
-    is the series quotient.  Q is formed here from P and R, not read from
-    rational_pgf, which built the table.  Both sides are scaled to
-    integers: the table by S = q_0^62, so xs[n] = S x_n and xs[n+1] =
-    r_0 S y_n / q_0 with h_0 = q_0/r_0, and G by the lcm L of its
-    denominators, each entry rescaled exactly.  Every check is then a
-    product with a short integer polynomial: Q or (1 - s)R.
-    """
-    n = _N_ID + 1
-    p, r, _q = dist.rational_pgf
-    q = [a - b for a, b in zip_longest(p, [0, 0, *r], fillvalue=0)]
-    q0, scale = table.q0, table.q0 ** (_N_ID + 2)
-    xs = [v * q0 ** (_N_ID + 1 - k) for k, v in enumerate(table.numerators[: _N_ID + 2])]
-    lcm = math.lcm(*(v.denominator for v in g))
-    lg = [v.numerator * (lcm // v.denominator) for v in g]
-    one_minus_s_r = [a - b for a, b in zip([*r, 0], [0, *r])]
-    return {
-        # y read against h_0 s rather than through y_n = h_0 x_{n+1}
-        "y_identity": _times(q, xs[1:], n) == [0] + [scale * c for c in _head(r, n - 1)],
-        "parity_monotone": all(
-            xs[2 * k] >= scale and xs[2 * k + 2] >= xs[2 * k] for k in range(_N_ID // 2)
-        ) and all(
-            xs[2 * k + 1] <= 0 and xs[2 * k + 3] <= xs[2 * k + 1] for k in range(_N_ID // 2 - 1)
-        ),
-        "series_matches_recurrence": _times(q, xs, n) == [scale * c for c in _head(p, n)],
-        "deflation_identity": _times(one_minus_s_r, lg, n) == [lcm * c for c in _head(q, n)],
-    }
-
-
 def _verify_one(dist: ClaimDistribution, horizon: int) -> dict:
     checks: dict = {}
     conj = recurrence.check_conjecture(dist, horizon)
     checks["conjecture"] = conj.holds
 
     # x, y and G through order 60, multiplied back on the law's pair
-    # (P, R) (see _identity_checks); the distributions tests tie that pair
-    # to each construction record
-    table = recurrence.build_table(dist, _N_ID + 2)
-    checks.update(_identity_checks(dist, table, series.deflate_G(dist, _N_ID)))
+    # (P, R) by series.identity_checks; the distributions tests tie that
+    # pair to each construction record
+    table = recurrence.build_table(dist, 62)
+    checks.update(series.identity_checks(dist, table))
 
     if dist.is_primitive():
         profile = roots.root_profile(dist)

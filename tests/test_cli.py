@@ -11,12 +11,13 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ruinkit import ClaimDistribution, build_table, cli, deflate_G
+from ruinkit import ClaimDistribution, build_table, cli, deflate_G, series
 from ruinkit.distributions import DistributionError
 from ruinkit.recurrence import SequenceTable
 
@@ -368,13 +369,32 @@ def test_verify_matrix(capsys):
         assert all(checks.values())
 
 
+#: sha256 of verify's stdout: how verify checks its identities must not
+#: change a byte of its reports
+_VERIFY_DIGESTS = {
+    ("json", "20"): "c97496a0d3c42cd3db793e6d5fdbafb6d6c14616ee81d9e0276e8e4ba47476e5",
+    ("json", "40"): "3030eb2fe0e8184d17696375f30763f43939d7b4ea76507b59917f46b8452dad",
+    ("json", "200"): "119a8fb84fe1dbf76339749a52ff459a10edc66a7bc0146dea1c14b4f25bc55d",
+    ("csv", "20"): "9a8d5c7f261d25ebcc560dff8ee3f47fc5f910bf93c574bfeca0c03fe3f98617",
+    ("csv", "40"): "4c63abe6e5e93c438b0cf38394ecae5c1a37906b6320c92c2b56af13cca5d040",
+    ("csv", "200"): "9a23943a5fe52ba271168b85a518edf3c3be70d1104a6032b75b3d2bdee325cd",
+}
+
+
+def test_verify_report_bytes_are_pinned(capsys):
+    for (fmt, n), digest in _VERIFY_DIGESTS.items():
+        code, out = run(capsys, ["verify", "--n", n, "--format", fmt])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (fmt, n)
+
+
 def test_verify_flags_broken_identities(capsys, monkeypatch):
     # verify multiplies x, y and G back through H - s^2 up to order 60, so a
     # change to the top coefficient of any of them is a breach on every fixture
-    from ruinkit import recurrence, series
+    from ruinkit import recurrence
 
     top = 60
-    integer_table, deflate_G = recurrence._integer_table, series.deflate_G
+    integer_table, deflation = recurrence._integer_table, series._deflation
 
     def table_with_bumped(seq):
         # x_60 += 1 is N_60 += q_0^61 and y_60 += 1 is N_61 += r_0 q_0^61, in
@@ -391,14 +411,16 @@ def test_verify_flags_broken_identities(capsys, monkeypatch):
         return perturbed
 
     def bumped_G(dist, n_max):
-        g = deflate_G(dist, n_max)
-        g[top] += 1
-        return g
+        # C_60 += 1, g_60 += 1/r_0^61: the smallest change the stream carries
+        c = deflation(dist, n_max)
+        if n_max == top:
+            c[top] += 1
+        return c
 
     cases = (
         (recurrence, "_integer_table", table_with_bumped("x"), "series_matches_recurrence"),
         (recurrence, "_integer_table", table_with_bumped("y"), "y_identity"),
-        (series, "deflate_G", bumped_G, "deflation_identity"),
+        (series, "_deflation", bumped_G, "deflation_identity"),
     )
     for module, name, fake, check in cases:
         with monkeypatch.context() as patch:
@@ -425,11 +447,11 @@ def test_verify_flags_broken_identities(capsys, monkeypatch):
 @example(dist=ClaimDistribution.tabulated(["1/2", "1/4", "1/4"]), index=37, delta=2, den=2)
 def test_pair_identities_match_dense_reference(dist, index, delta, den):
     # verify's checks on the pair (P, R) give the verdicts of the dense
-    # (H - s^2)X = H products on the pmf prefix, on honest tables and on
-    # tables with one numerator bumped or one entry of G moved
+    # (H - s^2)X = H products on the pmf prefix, on honest tables, on tables
+    # with one numerator bumped and on a stream C with one entry bumped
     table = build_table(dist, 62)
     g = deflate_G(dist, 60)
-    got = cli._identity_checks(dist, table, g)
+    got = series.identity_checks(dist, table)
     want = reference_identity_checks(dist, table, g)
     assert want == dict.fromkeys(want, True)
     assert {k: got[k] for k in want} == want
@@ -437,40 +459,22 @@ def test_pair_identities_match_dense_reference(dist, index, delta, den):
     numerators = list(table.numerators)
     numerators[index] += delta
     bumped = SequenceTable(dist, numerators, table.q0, table.r0)
+    got = series.identity_checks(dist, bumped)
+    want = reference_identity_checks(dist, bumped, g)
+    assert not all(want.values())
+    assert {k: got[k] for k in want} == want
+
+    # C_k += delta·den, which the reference reads as g_k = C_k / r_0^(k+1)
+    i = min(index, 60)
+    c = series._deflation(dist, 60)
+    c[i] += delta * den
     moved = list(g)
-    moved[min(index, 60)] += Fraction(delta, den)
-    for t, gt in ((bumped, g), (table, moved)):
-        got = cli._identity_checks(dist, t, gt)
-        want = reference_identity_checks(dist, t, gt)
-        assert not all(want.values())
-        assert {k: got[k] for k in want} == want
-
-
-def test_verify_flags_g_off_the_denominators_of_the_law(capsys, monkeypatch):
-    # g_k is an integer over r_0^(k+1); an entry over 7, with 7 not dividing
-    # any fixture's r_0, must breach, also when the change is below
-    # 1/r_0^61, where rescaling by a floor division would drop it
-    from ruinkit import series
-
-    assert all(d.rational_pgf[1][0] % 7 for d in all_fixtures())
-    original = series.deflate_G
-
-    for change in (lambda r0: Fraction(1, 7), lambda r0: Fraction(1, 7 * r0**62)):
-
-        def foreign(dist, n_max):
-            g = original(dist, n_max)
-            g[30] += change(dist.rational_pgf[1][0])
-            return g
-
-        with monkeypatch.context() as patch:
-            patch.setattr(series, "deflate_G", foreign)
-            code, out = run(capsys, ["verify", "--n", "20"])
-        assert code == 2
-        fixtures = json.loads(out)["results"]["fixtures"]
-        assert len(fixtures) == 11
-        for label, checks in fixtures.items():
-            assert checks["deflation_identity"] is False, label
-            assert checks["series_matches_recurrence"] and checks["y_identity"], label
+    moved[i] = Fraction(c[i], table.r0 ** (i + 1))
+    with mock.patch.object(series, "_deflation", lambda dist, n_max: list(c)):
+        got = series.identity_checks(dist, table)
+    want = reference_identity_checks(dist, table, moved)
+    assert not all(want.values())
+    assert {k: got[k] for k in want} == want
 
 
 def test_verify_forms_q_from_p_and_r(monkeypatch):
@@ -483,11 +487,11 @@ def test_verify_forms_q_from_p_and_r(monkeypatch):
         return p, r, (q[0], q[1] + 1, *q[2:])
 
     for dist in all_fixtures():
-        honest = cli._identity_checks(dist, build_table(dist, 62), deflate_G(dist, 60))
+        honest = series.identity_checks(dist, build_table(dist, 62))
         assert honest["series_matches_recurrence"] is True
         with monkeypatch.context() as patch:
             patch.setattr(ClaimDistribution, "rational_pgf", property(wrong_q))
-            table, g = build_table(dist, 62), deflate_G(dist, 60)
+            table = build_table(dist, 62)
             assert dist.rational_pgf[2] != original(dist)[2]
-            checks = cli._identity_checks(dist, table, g)
+            checks = series.identity_checks(dist, table)
         assert checks["series_matches_recurrence"] is False, dist.label()
