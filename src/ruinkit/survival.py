@@ -34,11 +34,19 @@ point.  All reconstructions therefore run in exact arithmetic with alpha
 carried as a rational bracket refined to ~u_max*log2(alpha) + 64 bits, and
 only the finished values are rounded to floats: each table entry is one
 integer numerator over one integer denominator, divided once, which Python
-rounds correctly, with one gcd per table and no reduced Fraction.
+rounds correctly, with one gcd per table and no reduced Fraction.  solve()
+stops that exact work at the first entry of at least 1 - 2^-55 and fills the
+rest with 1.0.  phi is non-decreasing in u (the same claims with one more
+unit of surplus are never ruined earlier) and at most 1, so every later
+phi(u) lies in [1 - 2^-55, 1], where the nearest double is 1.0; the margin
+below the half-ulp 2^-54 covers the error of the alpha bracket, which every
+entry of the full table carries too.  The argument holds only for the true
+initial values, so phi_table, which takes any pair, runs to u_max.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -167,17 +175,21 @@ def phi_table(dist: ClaimDistribution, phi0, phi1, u_max: int) -> list[float]:
     """
     if u_max < 0:
         raise ValueError("u_max must be non-negative")
+    return [f / den for f, den in islice(_phi_stream(dist, phi0, phi1), u_max + 1)]
+
+
+def _phi_stream(dist: ClaimDistribution, phi0, phi1) -> Iterator[tuple[int, int]]:
+    """The pairs (F_u, L r_0 q_0^(u+1)), u = 0, 1, ..., whose quotients are
+    phi_table's entries."""
     p, r, q = dist.rational_pgf
     p0, p1 = Fraction(phi0), Fraction(phi1)
     g = math.gcd(p0.denominator, p1.denominator)
     c0 = p0.numerator * (p1.denominator // g) * r[0]
     c1 = p1.numerator * (p0.denominator // g)
     den = p0.denominator // g * p1.denominator * r[0] * q[0]
-    out: list[float] = []
-    for f in islice(_numerators(p, q, c0, c1), u_max + 1):
-        out.append(f / den)
+    for f in _numerators(p, q, c0, c1):
+        yield f, den
         den *= q[0]
-    return out
 
 
 def pi_values(dist: ClaimDistribution, alpha=None) -> tuple[float, float]:
@@ -251,7 +263,10 @@ def solve(
     The closed form is always the route of record for phi(0), phi(1), and pi
     comes from the same exact alpha: the root profile's bracket continued
     until it is precise enough for the table through u_max + 1, or alpha = 1
-    on the even lattice, where the xi route is skipped.  The
+    on the even lattice, where the xi route is skipped.  The exact table
+    stops at the first entry within 2^-55 of 1, and the rest of the table
+    and of xi is 1.0, as phi is non-decreasing and at most 1 (see the module
+    docstring); a near-critical law may not reach it before u_max.  The
     ratio route at n_limit and the generating-function route are computed on
     request ("limit", "xi", or "all") and surfaced in diagnostics together
     with the maximum pairwise disagreement ``max_route_delta``.  Every regime
@@ -302,8 +317,14 @@ def solve(
         phi0, phi1 = float(p0_rat), float(p1_rat)
         pi0, pi1 = _pi(p1_rat, alpha, 2 - dist.mean(), h0, h1)
         # one table through phi(u_max + 1) also serves the xi route,
-        # xi_u = phi(u + 1)
-        ext = phi_table(dist, p0_rat, p1_rat, u_max + 1)
+        # xi_u = phi(u + 1); past the plateau every entry is 1.0 (module
+        # docstring)
+        ext = []
+        for f, den in islice(_phi_stream(dist, p0_rat, p1_rat), u_max + 2):
+            ext.append(f / den)
+            if f << 55 >= (den << 55) - den:
+                break
+        ext += [1.0] * (u_max + 2 - len(ext))
         table = ext[:-1]
         if want_xi and primitive:
             xi = ext[1:]

@@ -20,6 +20,7 @@ from ruinkit import (
     regime,
     solve,
 )
+from ruinkit import survival
 from ruinkit.distributions import _value
 
 from common import (
@@ -293,6 +294,41 @@ def test_solve_table_is_the_float_of_the_reduced_fraction():
     alpha = refine_alpha(NINE_POINT, sol.diagnostics["alpha_bits"])
     p0, p1 = initial_values_closed_form(NINE_POINT, alpha)
     assert sol.phi_table == [float(v) for v in reference_phi_table(NINE_POINT, p0, p1, 1500)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(dist=st.one_of(laws, even_lattice_laws), u_max=st.integers(0, 300))
+@example(dist=NINE_POINT, u_max=300)  # stops at u = 187
+@example(dist=ClaimDistribution.tabulated([F(1, 1000), F(899, 1000), 0, F(1, 10)]),
+         u_max=60)  # alpha = 900.1..., stops at u = 18
+@example(dist=ClaimDistribution.bernoulli(F(1, 3)), u_max=20)  # phi(0) = 1: stops at u = 0
+@example(dist=ClaimDistribution.geometric(F(1000, 2999)), u_max=300)  # E Z = 1.999: no stop
+@example(dist=ClaimDistribution.geometric(F(1, 4)), u_max=50)  # E Z = 3
+def test_solve_plateau_is_the_full_table(dist, u_max):
+    # the 1.0 filled in after the stop is what the full exact table rounds to
+    sol = solve(dist, u_max=u_max, route="xi")
+    bits = sol.diagnostics.get("alpha_bits")
+    p0, p1 = initial_values_closed_form(dist, refine_alpha(dist, bits) if bits else None)
+    want = [float(v) for v in reference_phi_table(dist, p0, p1, u_max + 1)]
+    assert sol.phi_table == want[:-1]
+    assert sol.xi == (want[1:] if dist.is_primitive() else None)
+
+
+@pytest.mark.parametrize("dist, most", [(ClaimDistribution.geometric(F(1, 2)), 80), (NINE_POINT, 190)])
+def test_solve_stops_the_stream_at_the_plateau(monkeypatch, dist, most):
+    # u_max = 10^5, but the exact stream is read only up to the 1.0 plateau
+    numerators, drawn = survival._numerators, []
+
+    def counted(*args):
+        drawn.append(0)
+        for f in numerators(*args):
+            drawn[-1] += 1
+            yield f
+
+    monkeypatch.setattr(survival, "_numerators", counted)
+    sol = solve(dist, u_max=100_000)
+    assert len(sol.phi_table) == 100_001 and sol.phi_table[-1] == 1.0
+    assert len(drawn) == 1 and drawn[0] <= most, drawn
 
 
 def test_pi_values_geometric_half():
