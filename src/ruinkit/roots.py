@@ -16,13 +16,13 @@ and R > 0 on [-1, 1], so that Q has the sign of H - s^2 on the disk:
 * both interior zeros come from one exact search on the dyadic points
   m/2^k, whose signs are those of the integers Q(m/2^k)·2^(k·deg Q);
   Q(-1) < 0 < Q(0) brackets -1/alpha, and Q(0) > 0 with the single zero
-  in (0, 1) brackets 1/beta.  The bracket is halved to width 2^-16, then
-  each exact Newton step from its midpoint doubles k: the signs of Q at
-  the two ends of the cell it names certify that cell, a neighbour is
-  tried on a miss, and halving takes over where certification fails.
-  Every bracket is the one halving alone reaches.  The nearest fraction
-  of small denominator in the final bracket, with the denominator capped
-  at |lead(Q)| by the rational root theorem, is tried as an exact root;
+  in (0, 1) brackets 1/beta.  Each step doubles k: an exact Newton step
+  from the midpoint names a start cell, and a galloping search from it
+  finds the cell whose end signs differ, in two evaluations on a hit and
+  O(log j) on a miss by j cells.  That cell is the one halving reaches,
+  so every bracket is the bisection's.  The nearest fraction of small
+  denominator in the final bracket, with the denominator capped at
+  |lead(Q)| by the rational root theorem, is tried as an exact root;
 * r is the multiplicity of s = 1 as a root of Q = (1 - s)^r K.
 
 The float roots are those of 64-bit brackets, rounded once.  The profile
@@ -49,12 +49,6 @@ from .distributions import ClaimDistribution, _value
 #: bits behind the float roots: a bracket of width 2**-64 in s pins
 #: alpha and beta far below binary64 resolution before their one rounding
 _FLOAT_BITS = 64
-#: the level from which ``_zero`` doubles by Newton steps instead of halving
-_NEWTON_FROM = 16
-#: cells beside the Newton candidate that ``_newton`` tries before giving
-#: up; on random tabulated laws about one Newton step in a thousand misses
-#: by more, where Q''/Q' is large near the zero
-_NEIGHBOURS = 4
 
 
 class RootLocationError(ValueError):
@@ -109,15 +103,10 @@ def _zero(q: list[int], bracket: Bracket, bits: int) -> tuple[Fraction, Fraction
     else the midpoint of the final bracket, and the state to continue from.
 
     In (neg, pos, k) the zero lies between neg/2^k and pos/2^k, with Q < 0
-    towards neg and Q > 0 towards pos; k = 0 for the unit intervals.  Up to
-    level _NEWTON_FROM the bracket is halved, each midpoint signed exactly
-    by ``_value``.  From there each step doubles the level (``_newton``):
-    one exact Newton step from the midpoint names a cell of width
-    2**-min(2k, bits), and the signs of Q at its two dyadic ends certify
-    it.  The certified cell is the one dyadic cell of that width holding
-    the zero, so every state, and a dyadic root met on the way, is what
-    halving alone reaches; where certification fails the bracket is halved
-    to that level instead.
+    towards neg and Q > 0 towards pos; k = 0 for the unit intervals.  Each
+    step (``_narrow``) certifies the one dyadic cell of width
+    2**-min(max(2k, k + 1), bits) holding the zero, so every state, and a
+    dyadic root met on the way, is what halving alone reaches.
 
     A rational root whose denominator is at most 2**(bits//2 - 1) is hit:
     two such fractions lie at least 2**(2 - bits) apart, so the nearest one
@@ -130,14 +119,9 @@ def _zero(q: list[int], bracket: Bracket, bits: int) -> tuple[Fraction, Fraction
     if isinstance(bracket, Fraction):
         return bracket, Fraction(0), bracket
     neg, pos, k = bracket
+    dq = [i * c for i, c in enumerate(q)][1:]
     while k < bits:
-        if k < _NEWTON_FROM:
-            state = _halve(q, neg, pos, k, min(bits, _NEWTON_FROM))
-        else:
-            level = min(2 * k, bits)
-            state = _newton(q, neg, pos, k, level)
-            if state is None:
-                state = _halve(q, neg, pos, k, level)
+        state = _narrow(q, dq, neg, pos, k, min(max(2 * k, k + 1), bits))
         if isinstance(state, Fraction):
             return state, Fraction(0), state
         neg, pos, k = state
@@ -149,58 +133,44 @@ def _zero(q: list[int], bracket: Bracket, bits: int) -> tuple[Fraction, Fraction
     return mid, width, (neg, pos, k)
 
 
-def _halve(q: list[int], neg: int, pos: int, k: int, level: int) -> Bracket:
-    """The bracket (neg, pos, k) halved down to ``level``, or the dyadic
-    root a midpoint hits on the way."""
-    for k in range(k + 1, level + 1):
-        mid = neg + pos
-        neg, pos = 2 * neg, 2 * pos
-        v = _value(q, mid, 1 << k)
-        if not v:
-            return Fraction(mid, 1 << k)
-        if v > 0:
-            pos = mid
-        else:
-            neg = mid
-    return neg, pos, level
+def _narrow(q: list[int], dq: list[int], neg: int, pos: int, k: int, level: int) -> Bracket:
+    """The cell (neg, pos, level) of the bracket (neg, pos, k) that holds its
+    zero, or the root where a probe hits it; dq is Q'.
 
-
-def _newton(q: list[int], neg: int, pos: int, k: int, level: int) -> Bracket | None:
-    """The cell of width 2**-level that holds the zero of the bracket
-    (neg, pos, k), or the root at one of its ends, from one exact Newton
-    step; None when neither that cell nor a neighbour is certified.
-
-    From the midpoint x = m/2^(k+1), x - Q(x)/Q'(x) = (mD - V)/(D 2^(k+1))
-    with V = Q(x)·2^((k+1) deg Q) and D = Q'(x)·2^((k+1)(deg Q - 1)).  A
-    cell inside the bracket whose end signs differ holds the zero, which
-    is the only one in the bracket; equal end signs say on which side it
-    lies.
+    The exact Newton point of the midpoint x = m/2^(k+1),
+    x - Q(x)/Q'(x) = (mD - V)/(D 2^(k+1)) with V = Q(x)·2^((k+1) deg Q) and
+    D = Q'(x)·2^((k+1)(deg Q - 1)), names the start cell (the midpoint's
+    own when D = 0).  On the grid i = 0 .. 2^(level - k) from neg/2^k
+    towards pos/2^k, ``low`` and ``high`` are the nearest points known to
+    lie on neg's and on pos's side of the zero.  Each probe moves one of
+    them; the next lies 1, 2, 4, ... points on, in the direction its sign
+    names, or halfway between them once that would leave (low, high).  The
+    signs change once along the bracket, so (low, high) ends at the one
+    cell that holds the zero, and a dyadic root on the grid is probed.
     """
     m, two = neg + pos, 1 << (k + 1)
     v = _value(q, m, two)
     if not v:
         return Fraction(m, two)
-    d = _value([i * c for i, c in enumerate(q)][1:], m, two)
-    if not d:
-        return None
-    shift, cell = level - k, 1 << level
-    lo, step = min(neg, pos) << shift, (1 if pos > neg else -1)
-    hi = (max(neg, pos) << shift) - 1
-    a = min(max(((m * d - v) << (shift - 1)) // d, lo), hi)
-    values: dict[int, int] = {}
-    for _ in range(_NEIGHBOURS + 1):
-        for end in (a, a + 1):
-            if end not in values:
-                values[end] = _value(q, end, cell)
-                if not values[end]:
-                    return Fraction(end, cell)
-        if (values[a] > 0) != (values[a + 1] > 0):
-            return (a, a + 1, level) if values[a] < 0 else (a + 1, a, level)
-        # both ends on one side of the zero, which lies towards pos if Q < 0
-        a += step if values[a] < 0 else -step
-        if not lo <= a <= hi:
-            return None
-    return None
+    d = _value(dq, m, two)
+    shift, cell, way = level - k, 1 << level, pos - neg
+    start, half = neg << shift, 1 << (shift - 1)
+    low, high = (half, 2 * half) if v < 0 else (0, half)
+    i = way * (((m * d - v) << (shift - 1)) - start * d) // d if d else half
+    i, step = min(max(i, low + 1), high - 1), 1
+    while high - low > 1:
+        if not low < i < high:
+            i = (low + high) // 2
+        end = start + way * i
+        v = _value(q, end, cell)
+        if not v:
+            return Fraction(end, cell)
+        if v < 0:
+            low, i = i, i + step
+        else:
+            high, i = i, i - step
+        step *= 2
+    return start + way * low, start + way * high, level
 
 
 def _deflate_at_one(q) -> tuple[int, list[int]]:

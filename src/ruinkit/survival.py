@@ -65,10 +65,6 @@ ROUTE_XI = "xi"
 ROUTE_ALL = "all"
 
 
-class PiResidualError(ValueError):
-    """Raised when the (pi_0, pi_1) system is not solved to its tolerance."""
-
-
 def regime(dist: ClaimDistribution) -> str:
     """survivable (EZ < 2), critical (EZ = 2, exact), or ruinous (EZ > 2)."""
     mean = dist.mean()
@@ -203,38 +199,24 @@ def pi_values(dist: ClaimDistribution, alpha=None) -> tuple[float, float]:
 
     so pi_0 = (2-EZ)/(h_0 (1+alpha)) = phi(1), taken from the closed form,
     and pi_1 = phi(1)(alpha - 1 - h_1/h_0) = phi(2) - phi(1), for every law.
-    Both are evaluated in the arithmetic of ``alpha``, with the same default
-    as initial_values_closed_form (on the even lattice alpha = 1 and h_1 = 0,
-    so pi_1 = 0), and floated on return.  Both residuals are verified to
-    1e-12 before returning (PiResidualError otherwise).  The zero solution
-    is returned when E Z >= 2.
+    That solution satisfies both equations identically in alpha, so there
+    is no residual to check.  Both are evaluated in the arithmetic of
+    ``alpha``, with the same default as initial_values_closed_form (on the
+    even lattice alpha = 1 and h_1 = 0, so pi_1 = 0), and floated on
+    return.  The zero solution is returned when E Z >= 2.
     """
-    mean = dist.mean()
-    if mean >= 2:
+    if dist.mean() >= 2:
         return 0.0, 0.0
     if alpha is None:
         alpha = _exact_alpha(dist)
     phi1 = initial_values_closed_form(dist, alpha)[1]
-    return _pi(phi1, alpha, 2 - mean, dist.hk(0), dist.hk(1))
+    return _pi(phi1, alpha, dist.hk(0), dist.hk(1))
 
 
-def _pi(phi1, alpha, rate, h0, h1) -> tuple[float, float]:
-    """pi_values' body, from the closed-form phi(1) and the alpha, 2 - EZ,
-    h_0 and h_1 it was formed from."""
-    pi0 = float(phi1)
-    pi1 = float(phi1 * (alpha - 1 - h1 / h0))
-    h0 = float(h0)
-    h1 = float(h1)
-    alpha = float(alpha)
-    rate = float(rate)
-    res1 = abs((2.0 * h0 + h1) * pi0 + h0 * pi1 - rate)
-    res2 = abs(pi0 * (h0 + h1 - h0 * alpha) + pi1 * h0)
-    if max(res1, res2) > 1e-12:
-        raise PiResidualError(
-            f"pi system residuals too large: {res1:.3e}, {res2:.3e}; "
-            "refine the root tolerance"
-        )
-    return pi0, pi1
+def _pi(phi1, alpha, h0, h1) -> tuple[float, float]:
+    """pi_values' body, from the closed-form phi(1) and the alpha, h_0 and
+    h_1 it was formed from."""
+    return float(phi1), float(phi1 * (alpha - 1 - h1 / h0))
 
 
 @dataclass
@@ -315,7 +297,7 @@ def solve(
             diagnostics["pi_source"] = "half-process table differences"
         p0_rat, p1_rat = initial_values_closed_form(dist, alpha)
         phi0, phi1 = float(p0_rat), float(p1_rat)
-        pi0, pi1 = _pi(p1_rat, alpha, 2 - dist.mean(), h0, h1)
+        pi0, pi1 = _pi(p1_rat, alpha, h0, h1)
         # one table through phi(u_max + 1) also serves the xi route,
         # xi_u = phi(u + 1); past the plateau every entry is 1.0 (module
         # docstring)

@@ -244,8 +244,8 @@ def reference_refine_alpha(dist, bits):
 
 
 def reference_zero(q: list[int], bracket: Bracket, bits: int) -> tuple[Fraction, Fraction, Bracket]:
-    """The halving loop ``roots._zero`` replaced by Newton doubling, kept as
-    its reference.
+    """The halving loop whose states ``roots._zero``'s Newton-started
+    search must reach, kept as its reference.
 
     (s, width, state) for the one zero of Q in ``bracket``, halved down
     to width 2**-bits: s exactly with width 0 when that root is hit, else

@@ -304,9 +304,7 @@ def test_malformed_spec_exits_one(tmp_path, capsys):
     assert code == 1
 
 
-def test_documented_errors_exit_one_with_one_line(capsys, monkeypatch):
-    from ruinkit import survival
-
+def test_documented_errors_exit_one_with_one_line(capsys):
     def one_line_error(argv, start):
         code = cli.main(argv)
         captured = capsys.readouterr()
@@ -327,14 +325,6 @@ def test_documented_errors_exit_one_with_one_line(capsys, monkeypatch):
         for n in ("0", "-2"):
             one_line_error(["solve", "--dist", law, "--route", "limit", "--n", n],
                            "error: the ratio route needs n_limit (--n) >= 1")
-
-    # a wrong phi(1) leaves the pi system unsolved, which its residual check sees
-    closed_form = survival.initial_values_closed_form
-    monkeypatch.setattr(
-        survival, "initial_values_closed_form",
-        lambda dist, alpha=None: tuple(2 * v for v in closed_form(dist, alpha)),
-    )
-    one_line_error(["solve", "--dist", "geometric(1/2)", "--u-max", "4"], "error: pi system residuals")
 
 
 def test_usage_error_exits_one(capsys):
@@ -386,6 +376,69 @@ def test_verify_report_bytes_are_pinned(capsys):
         code, out = run(capsys, ["verify", "--n", n, "--format", fmt])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (fmt, n)
+
+
+_ROOT_COMMANDS = {
+    "roots": [],
+    "asympt": ["--n", "300"],
+    "solve": ["--u-max", "3000", "--route", "all"],
+}
+
+#: sha256 of "<exit code>\n<stdout><stderr>" of the json reports that read
+#: the brackets of alpha and beta: how the zeros are searched for must not
+#: change a byte of them
+_ROOT_REPORT_DIGESTS = {
+    "pmf:1/7,0,0,6/7": {  # alpha = 3, beta = 2: both roots are hit
+        "roots": "4a1a9c513d96e6b27596633f9942522f2f20667a3f53c6d396b2ca0aa4c17b9f",
+        "asympt": "428ce0864432c5025a832a361857afc9337c2c52bad20e8864fdb55bbc45a46e",
+        "solve": "fdb1a063a6d1953baa3d8c89683e5eb295eecddfce5fb6d9682675b0b8796e58",
+    },
+    "bernoulli(4/5)": {  # s = -1/5 is no dyadic point
+        "roots": "dc584999f09fd4723a608d5bd8fa255143ebaa24e51faacb795ae3c3bd80f964",
+        "asympt": "ed667091da73fbeb34ad7bdab1994984b33771d18d7145a23ca48ca61d48ecba",
+        "solve": "003be82c89284c0c2d13d76d7099da1a93cdcf80b94d92d58ef3e74f3277f30b",
+    },
+    "geometric(2/7)": {
+        "roots": "702128bd6a1ec7095c1dad43fefd00c91d188a8246df8c26ee1ca4fd6d100eb5",
+        "asympt": "858e70d13855b0c1cb4bf4ee9e8eeeb16693e53e613936cba3f939dd1d2b90dc",
+        "solve": "b5751ae654a42210b8b4906d8d7ccf4e418e848f358e59b4e7dfb12a00799fae",
+    },
+    "geometric(1/4)": {  # E Z = 3
+        "roots": "4e819e1edd771c08f9203ea99e53da05c00ac7c8fd4252b7cd0eb4fcb230b950",
+        "asympt": "bbf8a6310f3a3706bcff81d9927e02728937054a1d73b72bb572b2a9fe996b2e",
+        "solve": "25d97ca4cb18c23756845cffc54a40aa76f1c41f71087d360a434f8e6367905d",
+    },
+    "pmf:1/2,5/22,1/11,1/11,0,0,0,1/22,1/22": {  # solve exits 2: routes disagree
+        "roots": "ae19433807670734f433808b915c74159089952fed8c137b8410fb68c1393ae2",
+        "asympt": "98ca4ac47c8ccc0ca9cbc4da98704ba9976ab64db71697d24b25c7e2576ab295",
+        "solve": "95166989fba76b1d74166b58943331291aaf38bfecf7a0a584fc8e9147d84bbd",
+    },
+    "pmf:1/1000,899/1000,0,1/10": {  # alpha about 900: a 29505-bit bracket
+        "roots": "9f6a14c7b5069a2eeb4f56189a40271c22918c785dda799e0089c2c245f0fb9d",
+        "asympt": "1f8eed53e45f23cebf9f9a421fea30d0a7bd82c49e4603da4360ad6876452a9c",
+        "solve": "ec1aad1e71d1a922a5f16b0702b652bc5467c70f770c86dffe80f9a63b353dfc",
+    },
+    # beta's Newton points miss its cell by up to 27 cells (test_roots)
+    "pmf:10/59,27/118,14/59,23/118,15/118,5/118": {
+        "roots": "27e21c17fe708ad0b3f8c203e0cb476157927f486b2867206bc187a725f0bf58",
+        "asympt": "492a963e8c7b9bc9f3b26be70bf99ce9582b1be348f6f88dbafec551f6a8e841",
+        "solve": "e9310b5f5776942ea96f3f9427585438aaf9c8f94fbaa7c99d014a176f38b33c",
+    },
+    "pmf:7/23,1/69,28/69,5/69,1/23,11/69": {
+        "roots": "1af7dc9d4b0986675b8d1d56fb7aa842bff523f3e0ccb99f5faa58a41ea7b043",
+        "asympt": "f38e8f16806716c6bc87a2a5e7c4f6915864ad9757dae6d6e8d90fe08e91268d",
+        "solve": "5518785a38a1d2e99b69bac33c3b8bdf27c14524c063cd572864eba6ee8bccad",
+    },
+}
+
+
+def test_root_report_bytes_are_pinned(capsys):
+    for law, digests in _ROOT_REPORT_DIGESTS.items():
+        for command, digest in digests.items():
+            code = cli.main([command, "--dist", law, *_ROOT_COMMANDS[command], "--format", "json"])
+            captured = capsys.readouterr()
+            report = f"{code}\n{captured.out}{captured.err}"
+            assert hashlib.sha256(report.encode()).hexdigest() == digest, (command, law)
 
 
 def test_verify_flags_broken_identities(capsys, monkeypatch):

@@ -42,6 +42,12 @@ from common import (
 
 F = Fraction
 
+#: beta's Newton points miss its cell by up to 27 cells at most levels
+MISSED_LAWS = (
+    ClaimDistribution.tabulated([F(10, 59), F(27, 118), F(14, 59), F(23, 118), F(15, 118), F(5, 118)]),
+    ClaimDistribution.tabulated([F(7, 23), F(1, 69), F(28, 69), F(5, 69), F(1, 23), F(11, 69)]),
+)
+
 
 def geometric_alpha(p: float) -> float:
     return (math.sqrt(4.0 / p - 3.0) + 1.0) / 2.0
@@ -334,6 +340,8 @@ def test_profile_continues_to_fresh_bisection(dist):
 # Q = (4, 0, -7, 3): the root s = -2/3 has the denominator lead(Q) = 3
 @example(dist=ClaimDistribution.tabulated([F(4, 7), 0, 0, F(3, 7)]), bits=8)
 @example(dist=ClaimDistribution.tabulated([F(4, 7), 0, 0, F(3, 7)]), bits=1000)
+@example(dist=MISSED_LAWS[0], bits=3000)
+@example(dist=MISSED_LAWS[1], bits=3000)
 def test_zero_matches_the_halving_loop(dist, bits):
     # Newton doubling certifies the cell halving reaches, from a fresh
     # start and from the profile's brackets alike
@@ -346,40 +354,42 @@ def test_zero_matches_the_halving_loop(dist, bits):
         assert roots._zero(q, bracket, bits) == reference_zero(q, bracket, bits)
 
 
-def _count_fallbacks(monkeypatch) -> list[int]:
-    """Levels from which ``_zero`` halves past the start of Newton doubling."""
-    halve, fallbacks = roots._halve, []
+def _count_evaluations(monkeypatch, q: list[int], dq_scale: int = 1) -> list[int]:
+    """The denominator of each evaluation of Q or Q' in ``roots``, with Q'
+    (the shorter polynomial) scaled by ``dq_scale``."""
+    calls, value = [], roots._value
 
-    def counted(q, neg, pos, k, level):
-        if k >= roots._NEWTON_FROM:
-            fallbacks.append(k)
-        return halve(q, neg, pos, k, level)
+    def counted(poly, n, d):
+        calls.append(d)
+        return value(poly, n, d) * (dq_scale if len(poly) < len(q) else 1)
 
-    monkeypatch.setattr(roots, "_halve", counted)
-    return fallbacks
-
-
-def test_zero_steps_to_a_neighbouring_cell(monkeypatch):
-    # for beta of geometric(2/7) the Newton candidate misses the zero's
-    # cell by one or two at most levels; the end signs say which way the
-    # zero lies, so a neighbour is certified and nothing is halved
-    q = ClaimDistribution.geometric(F(2, 7)).rational_pgf[2]
-    fallbacks = _count_fallbacks(monkeypatch)
-    assert roots._zero(q, (1, 0, 0), 2100) == reference_zero(q, (1, 0, 0), 2100)
-    assert fallbacks == []
+    monkeypatch.setattr(roots, "_value", counted)
+    return calls
 
 
-def test_zero_falls_back_to_halving(monkeypatch):
-    # a Q' three times too large puts each Newton candidate thousands of
-    # cells short of the zero: no cell is certified, and every doubling
-    # halves the bracket instead
+def test_zero_gallops_to_a_missed_cell(monkeypatch):
+    # for beta, the Newton points of geometric(2/7) miss its cell by a cell
+    # or two at most levels, and those of MISSED_LAWS by up to 27; a gallop
+    # from each certifies the cell in O(log miss) evaluations, where halving
+    # the doublings that missed by more took 1461 and 933 to 4000 bits
+    for dist in (ClaimDistribution.geometric(F(2, 7)), *MISSED_LAWS):
+        q = dist.rational_pgf[2]
+        calls = _count_evaluations(monkeypatch, q)
+        state = roots._zero(q, (1, 0, 0), 4000)
+        assert len(calls) <= 120
+        assert state == reference_zero(q, (1, 0, 0), 4000)
+
+
+def test_zero_certifies_cells_far_from_the_newton_point(monkeypatch):
+    # a Q' three times too large puts each Newton point thousands of cells
+    # short of the zero: the search still ends at the cell halving reaches,
+    # at most twice halving's 300 evaluations plus Q and Q' at the midpoints
+    # of the 10 steps (levels 1, 2, 4, ..., 256, 300)
     q = ClaimDistribution.geometric(F(1, 2)).rational_pgf[2]
-    value, fallbacks = roots._value, _count_fallbacks(monkeypatch)
-    monkeypatch.setattr(
-        roots, "_value", lambda poly, n, d: value(poly, n, d) * (3 if len(poly) < len(q) else 1)
-    )
-    assert roots._zero(q, (-1, 0, 0), 300) == reference_zero(q, (-1, 0, 0), 300)
-    assert fallbacks == [16, 32, 64, 128, 256]
+    calls = _count_evaluations(monkeypatch, q, dq_scale=3)
+    state = roots._zero(q, (-1, 0, 0), 300)
+    assert len(calls) <= 2 * 300 + 2 * 10
+    assert state == reference_zero(q, (-1, 0, 0), 300)
 
 
 def test_profile_keeps_hit_roots():
@@ -407,15 +417,17 @@ def _count_dyadic_evaluations(monkeypatch) -> list[tuple[str, int]]:
 
 
 def test_solve_continues_alpha_past_the_profile(monkeypatch):
-    # the profile halves to level 16 and doubles by Newton steps to 64;
-    # solve then only doubles on from 64 to alpha_bits = 341, with no
-    # evaluation at a level <= 64: Q and Q' at the midpoint of the
-    # bracket, Q at the two ends of the certified cell
+    # the profile steps through levels 1, 2, 4, ..., 64; solve then only
+    # doubles on from 64 to alpha_bits = 341, with no evaluation at a
+    # level <= 64: Q and Q' at the midpoint of the bracket, Q at the two
+    # ends of the certified cell
     dist = ClaimDistribution.geometric(F(1, 2))
     seen = _count_dyadic_evaluations(monkeypatch)
     root_profile(dist)
     profile = list(seen)
-    assert [k for _, k in profile] == [*range(1, 17), 17, 17, 32, 32, 33, 33, 64, 64]
+    assert [k for _, k in profile] == [
+        1, 1, 2, 2, 3, 3, 4, 5, 5, 8, 8, 9, 9, 16, 16, 17, 17, 32, 32, 33, 33, 64, 64
+    ]
     seen.clear()
     sol = solve(dist, u_max=400)
     assert sol.diagnostics["alpha_bits"] == 341

@@ -412,6 +412,23 @@ def test_pi1_is_the_exact_phi_difference(dist, bits):
     assert pi_values(dist, alpha) == (float(p1), float(phi2 - p1))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    dist=laws.filter(lambda d: d.mean() < 2),
+    alpha=st.fractions(min_value=1, max_value=1000, max_denominator=10**6),
+)
+def test_pi_system_holds_at_any_alpha(dist, alpha):
+    # pi_0 = phi(1) and pi_1 = phi(1)(alpha - 1 - h_1/h_0) solve both
+    # equations of the pi system exactly at any alpha, not only at the root,
+    # so a residual check on them could never fail
+    h0, h1 = dist.hk(0), dist.hk(1)
+    pi0 = initial_values_closed_form(dist, alpha)[1]
+    pi1 = pi0 * (alpha - 1 - h1 / h0)
+    assert (2 * h0 + h1) * pi0 + h0 * pi1 == 2 - dist.mean()
+    assert (h0 + h1 - h0 * alpha) * pi0 + h0 * pi1 == 0
+    assert pi_values(dist, alpha) == (float(pi0), float(pi1))
+
+
 def test_pi_sums_match_phi_differences():
     # phi(u+1) = pi_0 + ... + pi_u, so pi_1 = phi(2) - phi(1)
     dist = ClaimDistribution.geometric(F(1, 2))
